@@ -174,9 +174,10 @@ int main() {
   }
 
   std::printf(
-      "\nExpected shape: the compiled VM clears 2x on match work for\n"
-      "the join-heavy workloads; end-to-end fold gains are smaller\n"
-      "because both engines share the alpha-upkeep floor. Codegen\n"
+      "\nExpected shape: the VM saves dispatch, but it derives a match\n"
+      "once per seeding where TREAT derives it once per delta, so it\n"
+      "trails TREAT on self-joins (synth, waltz) and is near par\n"
+      "elsewhere. Both engines share the alpha-upkeep floor. Codegen\n"
       "stays in the microsecond range, far below one initial fold.\n");
   return 0;
 }

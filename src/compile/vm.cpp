@@ -116,13 +116,15 @@ void CompiledMatcher::do_emit(std::int32_t rule_operand) {
                         static_cast<std::ptrdiff_t>(r.positives.size()));
   const InstId id = cs_.add(std::move(inst));
   ++cstats_.emits;
-  if (id != kInvalidInst) {
-    ++stats_.insts_derived;
-    if (!r.negatives.empty()) {
-      quant_.add(rule, id,
-                 std::span<const Value>(env_.data(),
-                                        static_cast<std::size_t>(r.num_vars)));
-    }
+  if (id == kInvalidInst) {
+    ++stats_.derive_rejects;
+    return;
+  }
+  ++stats_.insts_derived;
+  if (!r.negatives.empty()) {
+    quant_.add(rule, id,
+               std::span<const Value>(env_.data(),
+                                      static_cast<std::size_t>(r.num_vars)));
   }
 }
 

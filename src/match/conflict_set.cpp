@@ -8,15 +8,10 @@ namespace parulel {
 InstId ConflictSet::add(Instantiation inst) {
   const std::size_t h = inst.key_hash();
 
-  // Duplicate in the alive set?
+  // Duplicate of an alive instantiation, or refracted by a fired one?
   auto& key_group = by_key_.group_for(h);
   for (const InstId other : key_group) {
     if (insts_[other].same_key(inst)) return kInvalidInst;
-  }
-  // Refraction: already fired?
-  auto [flo, fhi] = fired_.equal_range(h);
-  for (auto it = flo; it != fhi; ++it) {
-    if (it->second.same_key(inst)) return kInvalidInst;
   }
 
   const InstId id = static_cast<InstId>(insts_.size());
@@ -33,14 +28,16 @@ InstId ConflictSet::add(Instantiation inst) {
 
 void ConflictSet::remove(InstId id) {
   if (id >= insts_.size() || !alive_[id]) return;
-  alive_[id] = false;
-  --alive_count_;
-
-  const Instantiation& inst = insts_[id];
-  if (auto* g = by_key_.find(inst.key_hash())) {
+  if (auto* g = by_key_.find(insts_[id].key_hash())) {
     g->erase(std::find(g->begin(), g->end(), id));
   }
-  for (FactId f : inst.facts) {
+  retire(id);
+}
+
+void ConflictSet::retire(InstId id) {
+  alive_[id] = false;
+  --alive_count_;
+  for (FactId f : insts_[id].facts) {
     // A fact can appear twice in one instantiation (self-joins); the
     // id was indexed once per occurrence, so erase one per occurrence.
     auto* g = by_fact_.find(f);
@@ -49,16 +46,20 @@ void ConflictSet::remove(InstId id) {
   // by_rule_ entries are purged lazily in of_rule().
 }
 
-bool ConflictSet::remove_by_key(const Instantiation& probe) {
+InstId ConflictSet::find_key(const Instantiation& probe) const {
   if (const auto* g = by_key_.find(probe.key_hash())) {
     for (const InstId id : *g) {
-      if (insts_[id].same_key(probe)) {
-        remove(id);
-        return true;
-      }
+      if (insts_[id].same_key(probe)) return id;
     }
   }
-  return false;
+  return kInvalidInst;
+}
+
+bool ConflictSet::remove_by_key(const Instantiation& probe) {
+  const InstId id = find_key(probe);
+  if (id == kInvalidInst || !alive_[id]) return false;
+  remove(id);
+  return true;
 }
 
 void ConflictSet::remove_by_fact(FactId fact,
@@ -77,17 +78,13 @@ void ConflictSet::remove_by_fact(FactId fact,
 
 void ConflictSet::mark_fired(InstId id) {
   assert(id < insts_.size() && alive_[id]);
-  Instantiation copy = insts_[id];
-  remove(id);
-  fired_.emplace(copy.key_hash(), std::move(copy));
+  retire(id);
 }
 
 bool ConflictSet::has_fired(const Instantiation& inst) const {
-  auto [lo, hi] = fired_.equal_range(inst.key_hash());
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.same_key(inst)) return true;
-  }
-  return false;
+  // A key entry that is not alive can only be a fired one.
+  const InstId id = find_key(inst);
+  return id != kInvalidInst && !alive_[id];
 }
 
 bool ConflictSet::alive(InstId id) const {

@@ -1,15 +1,14 @@
 // The conflict set: all currently satisfied, not-yet-fired instantiations.
 //
-// Shared by every matcher. Also owns refraction memory: once an
-// instantiation fires, its structural key is remembered and re-additions
-// are rejected, so looping on unchanged matches is impossible (OPS5
+// Shared by every matcher. Also owns refraction memory: a fired
+// instantiation stays in its slot and in the structural-key index (only
+// its fact postings go), so the duplicate check in add() rejects its
+// re-addition too and looping on unchanged matches is impossible (OPS5
 // refraction, which PARULEL keeps).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "support/flat_group_map.hpp"
@@ -35,7 +34,8 @@ class ConflictSet {
   /// Appends the removed ids to `removed_out` when non-null.
   void remove_by_fact(FactId fact, std::vector<InstId>* removed_out = nullptr);
 
-  /// Mark an instantiation as fired: removes it and records refraction.
+  /// Mark an instantiation as fired: it leaves the alive set and its
+  /// fact postings but keeps its key entry, which refracts it.
   void mark_fired(InstId id);
 
   /// Would this key be rejected by refraction?
@@ -59,24 +59,23 @@ class ConflictSet {
   /// Total instantiations ever added (ids are [0, high_water)).
   InstId high_water() const { return static_cast<InstId>(insts_.size()); }
 
-  /// Drop refraction memory (used between independent runs on one set).
-  void clear_refraction() { fired_.clear(); }
-
  private:
-  struct KeyRef {
-    std::size_t hash;
-    InstId id;
-  };
+  /// Take an alive instantiation out of the alive set and the fact
+  /// postings; its key entry is the caller's business.
+  void retire(InstId id);
+
+  /// The alive or fired instantiation with this key (at most one
+  /// exists), or kInvalidInst.
+  InstId find_key(const Instantiation& probe) const;
 
   // Dense storage; dead entries keep their slot (ids stay stable).
   std::vector<Instantiation> insts_;
   std::vector<bool> alive_;
   std::size_t alive_count_ = 0;
 
-  // Structural key -> alive inst (bucket by hash, verify by same_key).
+  // Structural key -> alive or fired inst (bucket by hash, verify by
+  // same_key). Plainly removed insts leave; fired ones stay (refraction).
   FlatGroupMap<InstId> by_key_;
-  // Fired keys for refraction: hash -> representative instantiation copy.
-  std::unordered_multimap<std::size_t, Instantiation> fired_;
   // fact -> alive inst ids containing it.
   FlatGroupMap<InstId> by_fact_;
   // rule -> alive inst ids (lazily compacted).

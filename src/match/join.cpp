@@ -160,6 +160,14 @@ DerivePlan build_derive_plan(const CompiledRule& rule, std::size_t fixed,
     }
     plan.steps.push_back(std::move(step));
   }
+  // The seeding order of a fact across positions is (alpha id,
+  // position), matching the matchers' alpha-then-use walk.
+  const DeriveStep& seed = plan.steps.front();
+  for (DeriveStep& step : plan.steps) {
+    step.seeded_earlier = step.alpha != seed.alpha
+                              ? step.alpha < seed.alpha
+                              : step.pattern < seed.pattern;
+  }
   return plan;
 }
 

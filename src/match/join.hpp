@@ -8,6 +8,9 @@
 //
 // Seminaive use: fixing (position, fact) enumerates exactly the
 // instantiations that include a given new fact at a given position.
+// derive() goes one step further and, given the delta's DeriveWindow,
+// enumerates each new instantiation from only one of its seeds (see
+// DeriveWindow), so a delta derives every new match exactly once.
 //
 // Hot-path structure: probe hashes are composed directly from the bound
 // environment (no key-value vector is materialized), index groups are
@@ -70,6 +73,9 @@ struct DeriveStep {
   bool key_covers = false;   ///< see PositionPlan::key_covers
   /// Guards that become evaluable once this step binds its variables.
   std::vector<const CompiledExpr*> guards;
+  /// This position comes before the plan's fixed position in the seeding
+  /// order (alpha id, then position): the seed itself may not fill it.
+  bool seeded_earlier = false;
 };
 
 /// Reordered join for deriving instantiations that contain a new fact
@@ -103,6 +109,27 @@ struct VarConstraint {
 /// Must run before any fact enters the store.
 std::vector<RulePlan> build_join_plans(std::span<const CompiledRule> rules,
                                        AlphaStore& alphas);
+
+/// Once-only window for seminaive derivation from one delta.
+///
+/// A TREAT matcher seeds every added fact, in ascending id, at every
+/// positive position whose alpha accepts it, in (alpha id, position)
+/// order. An instantiation holding k seedings of the delta's facts would
+/// be derived k times and deduplicated after the fact. derive() instead
+/// emits it only from its first seeding: past step 0 it skips
+///   - an earlier seed of the same delta: ids in [delta_front, seed).
+///     Ids are handed out monotonically and a fact retracted within the
+///     delta never reaches an alpha memory, so an alive fact in that
+///     range is exactly an earlier added fact of this delta;
+///   - the seed itself at a position seeded before seed_pos
+///     (DeriveStep::seeded_earlier).
+/// Every surviving emission is the one the conflict set would have
+/// accepted, in the same order, so instantiation ids are unchanged.
+struct DeriveWindow {
+  FactId delta_front = kInvalidFact;  ///< lowest added id of the delta
+  FactId seed = kInvalidFact;         ///< the fact fixed at step 0
+  int seed_pos = 0;                   ///< positive position it fills
+};
 
 /// Reusable DFS buffers for JoinEngine::enumerate/derive. Callers that
 /// enumerate in a loop keep one of these per thread so the per-call
@@ -150,29 +177,21 @@ class JoinEngine {
         scratch.env, scratch.facts, emit);
   }
 
-  /// Seminaive derivation: every instantiation of `rule` containing
-  /// `fixed_fact` at positive position `fixed_pos`, enumerated via the
-  /// reordered DerivePlan (starts at the new fact, hash-joins outward).
+  /// Seminaive derivation: the instantiations of `rule` containing
+  /// `win.seed` at positive position `win.seed_pos` that no earlier
+  /// seeding of the delta derives (see DeriveWindow), enumerated via the
+  /// reordered DerivePlan (starts at the seed, hash-joins outward).
+  /// Caller-owned DFS buffers: this is the hot loop.
   template <typename Emit>
-  void derive(const WorkingMemory& wm, RuleId rule, int fixed_pos,
-              FactId fixed_fact, Emit&& emit) const {
-    JoinScratch scratch;
-    derive(wm, rule, fixed_pos, fixed_fact, scratch,
-           std::forward<Emit>(emit));
-  }
-
-  /// derive() with caller-owned DFS buffers (hot loops).
-  template <typename Emit>
-  void derive(const WorkingMemory& wm, RuleId rule, int fixed_pos,
-              FactId fixed_fact, JoinScratch& scratch, Emit&& emit) const {
+  void derive(const WorkingMemory& wm, RuleId rule, const DeriveWindow& win,
+              JoinScratch& scratch, Emit&& emit) const {
     const CompiledRule& r = rules_[rule];
     const RulePlan& plan = plans_[rule];
     const DerivePlan& dp =
-        plan.derive[static_cast<std::size_t>(fixed_pos)];
+        plan.derive[static_cast<std::size_t>(win.seed_pos)];
     scratch.env.assign(static_cast<std::size_t>(r.num_vars), Value{});
     scratch.facts.assign(r.positives.size(), kInvalidFact);
-    derive_dfs(wm, r, plan, dp, 0, fixed_fact, scratch.env, scratch.facts,
-               emit);
+    derive_dfs(wm, r, plan, dp, 0, win, scratch.env, scratch.facts, emit);
   }
 
   /// Re-derive the instantiations of `rule` that the retraction of
@@ -277,7 +296,7 @@ class JoinEngine {
   template <typename Emit>
   void derive_dfs(const WorkingMemory& wm, const CompiledRule& r,
                   const RulePlan& plan, const DerivePlan& dp, std::size_t s,
-                  FactId fixed_fact, std::vector<Value>& env,
+                  const DeriveWindow& win, std::vector<Value>& env,
                   std::vector<FactId>& facts, Emit&& emit) const {
     if (s == dp.steps.size()) {
       if (negatives_ok(wm, r, plan, env)) emit(facts, env);
@@ -290,6 +309,14 @@ class JoinEngine {
     // already proved every join equality for this candidate.
     auto try_fact = [&](FactRow row, bool verified) {
       const FactView fact = store.view_row(row);
+      // Once-only: an earlier seeding of the delta derives this match
+      // (see DeriveWindow). Step 0's own seed passes: it is not earlier
+      // than itself.
+      const FactId id = fact.id();
+      if (id < win.seed ? id >= win.delta_front
+                        : id == win.seed && step.seeded_earlier) {
+        return;
+      }
       if (!verified) {
         for (const auto& eq : step.eqs) {
           if (fact.slot(static_cast<std::size_t>(eq.slot)) !=
@@ -305,13 +332,13 @@ class JoinEngine {
       for (const CompiledExpr* guard : step.guards) {
         if (!CompiledExpr::truthy(guard->eval(env))) return;
       }
-      facts[static_cast<std::size_t>(step.pattern)] = fact.id();
-      derive_dfs(wm, r, plan, dp, s + 1, fixed_fact, env, facts, emit);
+      facts[static_cast<std::size_t>(step.pattern)] = id;
+      derive_dfs(wm, r, plan, dp, s + 1, win, env, facts, emit);
     };
 
     if (s == 0) {
-      // Step 0 is the fixed position: exactly the new fact.
-      try_fact(store.row_of(fixed_fact), false);
+      // Step 0 is the fixed position: exactly the seed.
+      try_fact(store.row_of(win.seed), false);
       return;
     }
     const AlphaMemory& mem = alphas_.memory(step.alpha);

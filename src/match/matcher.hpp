@@ -47,6 +47,10 @@ struct MatchStats {
   std::uint64_t insts_invalidated = 0;
   std::uint64_t alpha_activations = 0;  ///< fact x alpha-memory routing events
   std::uint64_t full_rematches = 0;   ///< TREAT negative-retract fallbacks
+  /// Emissions the conflict set refused as duplicates or refracted: join
+  /// work spent on a match that already existed. Once-only derivation
+  /// keeps this at 0 for TREAT deltas without quantified CEs.
+  std::uint64_t derive_rejects = 0;
   std::uint64_t tokens_created = 0;   ///< RETE only
   std::uint64_t tokens_deleted = 0;   ///< RETE only
 

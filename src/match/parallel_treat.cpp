@@ -1,6 +1,8 @@
 #include "match/parallel_treat.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 
 namespace parulel {
 
@@ -138,7 +140,11 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
   // Parallel fan-out: derivation tasks. Work unit = (added-fact chunk x
   // matching (rule, position)). We enumerate the task list
   // deterministically: chunk facts, then within a task walk facts in
-  // order.
+  // order. Each derivation carries the delta's once-only window (see
+  // DeriveWindow), so across all tasks every new match is emitted by
+  // exactly one seed: the one the sequential walk would reach first.
+  assert(std::adjacent_find(delta.added.begin(), delta.added.end(),
+                            std::greater_equal<>()) == delta.added.end());
   const std::size_t n_added = delta.added.size();
   std::vector<std::vector<Instantiation>> task_out;
   if (n_added > 0) {
@@ -164,14 +170,15 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
           for (std::size_t j = added_offsets_[i]; j < added_offsets_[i + 1];
                ++j) {
             for (const AlphaUse& use : positive_uses_[added_alphas_[j]]) {
-              join_.derive(wm, use.rule, use.position, fid, scratch,
-                              [&](const std::vector<FactId>& facts,
-                                  std::span<const Value>) {
-                                Instantiation inst;
-                                inst.rule = use.rule;
-                                inst.facts = facts;
-                                out.push_back(std::move(inst));
-                              });
+              join_.derive(wm, use.rule,
+                           {delta.added.front(), fid, use.position}, scratch,
+                           [&](const std::vector<FactId>& facts,
+                               std::span<const Value>) {
+                             Instantiation inst;
+                             inst.rule = use.rule;
+                             inst.facts = facts;
+                             out.push_back(std::move(inst));
+                           });
             }
           }
         }
@@ -180,26 +187,7 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
     pool_.run_batch(jobs);
   }
 
-  // Deterministic merge in task order (dedup + refraction in cs_.add).
-  {
-    std::vector<Value> env;
-    for (auto& buffer : task_out) {
-      for (auto& inst : buffer) {
-        const RuleId rule = inst.rule;
-        const std::vector<FactId> facts = inst.facts;
-        const InstId id = cs_.add(std::move(inst));
-        if (id != kInvalidInst) {
-          ++stats_.insts_derived;
-          if (!rules_[rule].negatives.empty()) {
-            rebuild_env(
-                rules_[rule], facts,
-                [&](FactId f) { return wm.view(f); }, env);
-            quant_.add(rule, id, env);
-          }
-        }
-      }
-    }
-  }
+  merge(wm, task_out);
 
   // Constrained re-derivations for retracted negated-CE blockers; these
   // parallelize per (rule, blocker), chunked like the derivations.
@@ -234,24 +222,33 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
     }
     pool_.run_batch(jobs);
     stats_.full_rematches += unblocks.size();
-    std::vector<Value> env;
-    for (auto& buffer : rematch_out) {
-      for (auto& inst : buffer) {
-        const RuleId rule = inst.rule;
-        const std::vector<FactId> facts = inst.facts;
-        const InstId id = cs_.add(std::move(inst));
-        if (id != kInvalidInst) {
-          ++stats_.insts_derived;
-          rebuild_env(
-              rules_[rule], facts,
-              [&](FactId f) { return wm.view(f); }, env);
-          quant_.add(rule, id, env);
-        }
-      }
-    }
+    merge(wm, rematch_out);
   }
 
   stats_.state_entries = cs_.size();
+}
+
+void ParallelTreatMatcher::merge(
+    const WorkingMemory& wm,
+    std::vector<std::vector<Instantiation>>& task_out) {
+  std::vector<Value> env;
+  for (auto& buffer : task_out) {
+    for (auto& inst : buffer) {
+      const RuleId rule = inst.rule;
+      const InstId id = cs_.add(std::move(inst));
+      if (id == kInvalidInst) {
+        ++stats_.derive_rejects;
+        continue;
+      }
+      ++stats_.insts_derived;
+      if (!rules_[rule].negatives.empty()) {
+        rebuild_env(
+            rules_[rule], cs_.get(id).facts,
+            [&](FactId f) { return wm.view(f); }, env);
+        quant_.add(rule, id, env);
+      }
+    }
+  }
 }
 
 }  // namespace parulel

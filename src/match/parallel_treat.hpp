@@ -43,6 +43,11 @@ class ParallelTreatMatcher : public Matcher {
     int position;
   };
 
+  /// Fold task buffers into the conflict set in task order (dedup and
+  /// refraction in cs_.add), so ids are independent of thread timing.
+  void merge(const WorkingMemory& wm,
+             std::vector<std::vector<Instantiation>>& task_out);
+
   std::span<const CompiledRule> rules_;
   AlphaStore alphas_;
   JoinEngine join_;

@@ -132,7 +132,11 @@ void ReteMatcher::production_add(RuleId rule, const Token& token) {
   Instantiation inst;
   inst.rule = rule;
   inst.facts = token.facts;
-  if (cs_.add(std::move(inst)) != kInvalidInst) ++stats_.insts_derived;
+  if (cs_.add(std::move(inst)) != kInvalidInst) {
+    ++stats_.insts_derived;
+  } else {
+    ++stats_.derive_rejects;
+  }
 }
 
 void ReteMatcher::production_remove(RuleId rule, const Token& token) {

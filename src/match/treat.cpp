@@ -1,7 +1,9 @@
 #include "match/treat.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <functional>
 
 namespace parulel {
 
@@ -105,9 +107,13 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
     }
   }
 
-  // 4. Seminaive derivation from each added fact.
+  // 4. Seminaive derivation from each added fact, once per new match:
+  // the window skips joins an earlier seeding of this delta already
+  // made (ids ascend, so earlier seeds are the ids below this one).
+  assert(std::adjacent_find(delta.added.begin(), delta.added.end(),
+                            std::greater_equal<>()) == delta.added.end());
   for (std::size_t i = 0; i < delta.added.size(); ++i) {
-    derive_for_added(wm, delta.added[i],
+    derive_for_added(wm, delta.added.front(), delta.added[i],
                      std::span<const std::uint32_t>(
                          added_alphas_.data() + added_offsets_[i],
                          added_offsets_[i + 1] - added_offsets_[i]));
@@ -127,22 +133,26 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
   stats_.state_entries = cs_.size();
 }
 
-void TreatMatcher::derive_for_added(const WorkingMemory& wm, FactId fid,
+void TreatMatcher::derive_for_added(const WorkingMemory& wm,
+                                    FactId delta_front, FactId fid,
                                     std::span<const std::uint32_t> hit) {
   for (std::uint32_t a : hit) {
     for (const AlphaUse& use : positive_uses_[a]) {
-      join_.derive(wm, use.rule, use.position, fid, join_scratch_,
+      join_.derive(wm, use.rule, {delta_front, fid, use.position},
+                   join_scratch_,
                    [&](const std::vector<FactId>& facts,
                        std::span<const Value> env) {
                      Instantiation inst;
                      inst.rule = use.rule;
                      inst.facts = facts;
                      const InstId id = cs_.add(std::move(inst));
-                     if (id != kInvalidInst) {
-                       ++stats_.insts_derived;
-                       if (!rules_[use.rule].negatives.empty()) {
-                         quant_.add(use.rule, id, env);
-                       }
+                     if (id == kInvalidInst) {
+                       ++stats_.derive_rejects;
+                       return;
+                     }
+                     ++stats_.insts_derived;
+                     if (!rules_[use.rule].negatives.empty()) {
+                       quant_.add(use.rule, id, env);
                      }
                    });
     }
@@ -205,10 +215,12 @@ void TreatMatcher::rematch_unblocked(const WorkingMemory& wm, RuleId rule,
                               inst.rule = rule;
                               inst.facts = facts;
                               const InstId id = cs_.add(std::move(inst));
-                              if (id != kInvalidInst) {
-                                ++stats_.insts_derived;
-                                quant_.add(rule, id, env);
+                              if (id == kInvalidInst) {
+                                ++stats_.derive_rejects;
+                                return;
                               }
+                              ++stats_.insts_derived;
+                              quant_.add(rule, id, env);
                             });
 }
 

@@ -3,14 +3,22 @@
 // Per delta:
 //   1. update alpha memories (removals + additions);
 //   2. remove conflict-set entries containing removed facts;
-//   3. rules whose *negated* alpha lost a fact are fully re-enumerated
-//      (removal of a blocker can enable matches; TREAT has no stored
-//      join state to localize this, so we recompute that rule — dedup
-//      and refraction in ConflictSet make this safe);
-//   4. for each added fact and each (rule, position) whose alpha accepts
-//      it, derive the new instantiations with that position fixed;
-//   5. for each added fact matching a negated alpha, remove pre-existing
-//      instantiations it now blocks.
+//   3. for each added fact matching a negated alpha, remove pre-existing
+//      instantiations it now blocks;
+//   4. for each added fact (ascending id) and each (rule, position) whose
+//      alpha accepts it (ascending alpha id, then position), derive the
+//      new instantiations with that position fixed. Each new match is
+//      derived ONCE, from the first of these seedings it contains: later
+//      seedings skip it inside the join (DeriveWindow in join.hpp). The
+//      skipped emissions are exactly the ones the conflict set would
+//      have rejected as duplicates, and the kept one comes at the same
+//      point of the walk, so instantiation ids are unchanged;
+//   5. instantiations whose (exists ...) witness left are re-checked;
+//   6. a (not ...) blocker that left, or an (exists ...) witness that
+//      arrived, triggers a constrained re-derivation of its rule pinned
+//      to the fact's join key (TREAT has no stored join state to
+//      localize this). These may re-find matches step 4 derived; the
+//      conflict set's dedup and refraction drop them.
 #pragma once
 
 #include <memory>
@@ -40,8 +48,10 @@ class TreatMatcher : public Matcher {
   MatchStats& stats_mut() override { return stats_; }
 
  private:
-  void derive_for_added(const WorkingMemory& wm, FactId fid,
-                        std::span<const std::uint32_t> hit);
+  /// Step 4 for one added fact `fid` of the delta starting at
+  /// `delta_front`; `hit` lists the alphas that accepted it.
+  void derive_for_added(const WorkingMemory& wm, FactId delta_front,
+                        FactId fid, std::span<const std::uint32_t> hit);
   /// A fact entered a (not ...) alpha: drop the instantiations it blocks.
   void remove_blocked(const WorkingMemory& wm, RuleId rule, int neg_index,
                       FactId fid);

@@ -23,6 +23,7 @@ inline void publish_match_stats(MetricsRegistry& registry,
   registry.set(p + "insts_invalidated", m.insts_invalidated);
   registry.set(p + "alpha_activations", m.alpha_activations);
   registry.set(p + "full_rematches", m.full_rematches);
+  registry.set(p + "derive_rejects", m.derive_rejects);
   registry.set(p + "tokens_created", m.tokens_created);
   registry.set(p + "tokens_deleted", m.tokens_deleted);
   registry.set(p + "state_entries", m.state_entries);

@@ -9,25 +9,23 @@
 
 namespace parulel {
 
-/// A fork-join batch: a vector of jobs plus a next-job cursor and a
-/// completion latch. Lives on the submitting thread's stack.
+/// A fork-join batch: a vector of jobs plus a next-job cursor. Lives on
+/// the submitting thread's stack; run_batch() does not return (and so
+/// does not destroy it) until every worker that entered it has left.
 struct ThreadPool::Batch {
   const std::vector<std::function<void(unsigned)>>* jobs = nullptr;
   ThreadPool::WorkerStat* worker_stats = nullptr;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
-  // Returns true when this call completed the final job.
-  bool run_some(unsigned worker_id) {
+  // Claims and runs jobs until none are left unclaimed.
+  void run_some(unsigned worker_id) {
     const std::size_t n = jobs->size();
     WorkerStat& stat = worker_stats[worker_id];
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return false;
+      if (i >= n) return;
       const Timer job_timer;
       try {
         (*jobs)[i](worker_id);
@@ -38,11 +36,6 @@ struct ThreadPool::Batch {
       stat.jobs.fetch_add(1, std::memory_order_relaxed);
       stat.busy_ns.fetch_add(job_timer.elapsed_ns(),
                              std::memory_order_relaxed);
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        std::scoped_lock lock(done_mutex);
-        done_cv.notify_all();
-        return true;
-      }
     }
   }
 };
@@ -90,23 +83,25 @@ unsigned ThreadPool::default_threads() {
 }
 
 void ThreadPool::worker_loop(unsigned worker_id) {
+  std::uint64_t seen = 0;  // generation of the last batch entered
   for (;;) {
     Batch* batch = nullptr;
     {
+      // Keyed on the generation, not the batch address: a new batch
+      // built at a finished one's stack address is still a new batch.
       std::unique_lock lock(mutex_);
-      work_ready_.wait(lock,
-                       [this] { return shutting_down_ || current_ != nullptr; });
-      if (shutting_down_) return;
-      batch = current_;
-    }
-    batch->run_some(worker_id);
-    // Park again; the submitter clears current_ once the batch drains.
-    {
-      std::unique_lock lock(mutex_);
-      work_ready_.wait(lock, [this, batch] {
-        return shutting_down_ || current_ != batch;
+      work_ready_.wait(lock, [this, seen] {
+        return shutting_down_ || (current_ != nullptr && generation_ != seen);
       });
       if (shutting_down_) return;
+      batch = current_;
+      seen = generation_;
+      ++inside_;
+    }
+    batch->run_some(worker_id);
+    {
+      std::scoped_lock lock(mutex_);
+      if (--inside_ == 0) batch_left_.notify_all();
     }
   }
 }
@@ -134,21 +129,19 @@ void ThreadPool::run_batch(
     std::scoped_lock lock(mutex_);
     assert(current_ == nullptr && "nested batches are not supported");
     current_ = &batch;
+    ++generation_;
   }
   work_ready_.notify_all();
 
   batch.run_some(0);  // The caller is worker 0.
+  // Every job is claimed once run_some returns; a claimed job finishes
+  // before its worker leaves the batch. So once no worker can enter any
+  // more and none is inside, every job is done and `batch` may die.
   {
-    std::unique_lock lock(batch.done_mutex);
-    batch.done_cv.wait(lock, [&batch, &jobs] {
-      return batch.done.load(std::memory_order_acquire) == jobs.size();
-    });
-  }
-  {
-    std::scoped_lock lock(mutex_);
+    std::unique_lock lock(mutex_);
     current_ = nullptr;
+    batch_left_.wait(lock, [this] { return inside_ == 0; });
   }
-  work_ready_.notify_all();
 
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }

@@ -1,7 +1,9 @@
 // Fixed-size worker pool with fork-join task groups.
 //
 // The engines submit one task batch per engine phase (match, fire) and
-// wait for the batch on a latch — CP.4 "think in tasks"; workers are
+// wait until every worker has left the batch — CP.4 "think in tasks";
+// the batch lives on the submitter's stack, so no worker may still be
+// touching it when run_batch() returns. Workers are
 // created once per pool lifetime (CP.41) and joined by RAII (CP.25).
 #pragma once
 
@@ -81,11 +83,15 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
+  std::condition_variable batch_left_;  ///< inside_ dropped to 0
   bool shutting_down_ = false;
 
   // The currently executing batch, if any. Only one batch runs at a time
   // (engine phases are sequential); workers pull chunk indices from it.
+  // All three fields are guarded by mutex_.
   Batch* current_ = nullptr;
+  std::uint64_t generation_ = 0;  ///< bumped per submitted batch
+  unsigned inside_ = 0;           ///< workers currently inside current_
 };
 
 }  // namespace parulel

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "match/parallel_treat.hpp"
 #include "match/rete.hpp"
@@ -47,8 +48,29 @@ TEST(ConflictSet, RefractionBlocksReAdd) {
   const InstId id = cs.add(make_inst(0, {1, 2}));
   cs.mark_fired(id);
   EXPECT_EQ(cs.size(), 0u);
+  EXPECT_FALSE(cs.alive(id));
   EXPECT_EQ(cs.add(make_inst(0, {1, 2})), kInvalidInst);
   EXPECT_TRUE(cs.has_fired(make_inst(0, {1, 2})));
+  EXPECT_FALSE(cs.has_fired(make_inst(0, {2, 1})));
+}
+
+TEST(ConflictSet, FiredInstantiationStaysInPlace) {
+  // Refraction keeps the fired entry in its slot and key index, not a
+  // copy: its id still resolves, but it is neither alive nor removable,
+  // and its facts no longer reach it.
+  ConflictSet cs;
+  const InstId id = cs.add(make_inst(0, {1, 2}));
+  const InstId other = cs.add(make_inst(0, {2, 3}));
+  cs.mark_fired(id);
+  EXPECT_EQ(cs.get(id).facts, (std::vector<FactId>{1, 2}));
+  EXPECT_FALSE(cs.remove_by_key(make_inst(0, {1, 2})));
+  std::vector<InstId> removed;
+  cs.remove_by_fact(2, &removed);
+  EXPECT_EQ(removed, std::vector<InstId>{other});
+  EXPECT_TRUE(cs.has_fired(make_inst(0, {1, 2})));
+  EXPECT_FALSE(cs.has_fired(make_inst(0, {2, 3})));
+  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), kInvalidInst);
+  EXPECT_NE(cs.add(make_inst(0, {2, 3})), kInvalidInst);
 }
 
 TEST(ConflictSet, RemoveDoesNotRefract) {

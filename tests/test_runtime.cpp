@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -98,6 +100,32 @@ TEST(ThreadPool, LargeFanOutCompletes) {
   pool.parallel_for(0, 200000,
                     [&](std::size_t i, unsigned) { sum += i; });
   EXPECT_EQ(sum.load(), 200000ull * 199999ull / 2);
+}
+
+// Batch-lifetime regression: each batch lives on its submitter's stack,
+// so a worker still inside (or just entering) a finished batch must be
+// waited for before run_batch returns. Many tiny back-to-back batches on
+// more workers than cores leave a late worker racing the next batch's
+// construction at the same stack address; before the fix this crashed
+// or hung within a few thousand rounds.
+TEST(ThreadPool, BackToBackTinyBatchesOversubscribed) {
+  const unsigned threads = 4 * ThreadPool::default_threads();
+  ThreadPool pool(threads);
+  std::uint64_t expected = 0;
+  std::atomic<std::uint64_t> sum{0};
+  for (int round = 0; round < 20000; ++round) {
+    std::vector<std::function<void(unsigned)>> jobs;
+    const int n = 2 + round % 3;
+    for (int i = 0; i < n; ++i) {
+      jobs.push_back([&sum, round, i](unsigned) {
+        sum.fetch_add(static_cast<std::uint64_t>(round + i),
+                      std::memory_order_relaxed);
+      });
+      expected += static_cast<std::uint64_t>(round + i);
+    }
+    pool.run_batch(jobs);
+    ASSERT_EQ(sum.load(), expected) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, DefaultThreadsPositive) {
