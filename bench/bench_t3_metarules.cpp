@@ -49,9 +49,10 @@ int main() {
               "eligible until fired or invalidated).\n"
               "Expected shape: manners redacts nearly everything each cycle\n"
               "(one survivor); sieve+meta redacts the redundant strikes.\n"
-              "Redaction time tracks the meta conflict-set size: pairwise\n"
-              "meta-rules over large conflict sets (sieve, stress waltz)\n"
-              "pay a quadratic meta-match — the engineering trade-off the\n"
-              "PARULEL design accepts for programmability.\n");
+              "Every meta-rule here is redact-only, so each is answered as\n"
+              "an existential query (one witness per redaction, see\n"
+              "meta_witnesses) instead of firing every pairwise match;\n"
+              "redaction time tracks the targets and their witness search,\n"
+              "not the number of meta matches.\n");
   return 0;
 }

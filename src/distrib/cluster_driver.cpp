@@ -13,6 +13,7 @@
 #include "support/error.hpp"
 #include "support/timer.hpp"
 #include "wm/fact.hpp"
+#include "wm/working_memory.hpp"
 
 namespace parulel {
 
@@ -451,7 +452,7 @@ std::uint64_t ClusterDriver::collect_fingerprint(std::uint64_t* facts) {
       seen.insert(line.substr(5));
     }
   }
-  std::uint64_t fp = 0x5bd1e995u;
+  std::uint64_t fp = WorkingMemory::kFingerprintSeed;
   for (const std::string& hex : seen) {
     auto [tmpl, slots] =
         decode_fact_wire(from_hex(hex), *program_.symbols, program_.schema);

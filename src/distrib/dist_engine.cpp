@@ -636,7 +636,7 @@ std::uint64_t DistributedEngine::global_fingerprint() const {
   // Dedup verifies full content equality, never hash alone. Content
   // hashes come cached from each site's store.
   std::unordered_multimap<std::uint64_t, FactView> seen;
-  std::uint64_t fp = 0x5bd1e995u;
+  std::uint64_t fp = WorkingMemory::kFingerprintSeed;
   for (const auto& site : sites_) {
     const WorkingMemory& wm = *site->wm;
     for (FactId id = 1; id <= wm.high_water(); ++id) {

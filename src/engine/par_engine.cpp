@@ -88,6 +88,7 @@ bool ParallelEngine::step(RunStats& stats) {
       cycle.redacted = outcome.redacted.size();
       cycle.meta_rounds = outcome.rounds;
       cycle.meta_firings = outcome.meta_firings;
+      cycle.meta_witnesses = outcome.witnesses;
       // eligible and outcome.redacted are both ascending: set-difference.
       to_fire.reserve(eligible.size() - outcome.redacted.size());
       std::set_difference(eligible.begin(), eligible.end(),

@@ -371,6 +371,26 @@ class RuleCompiler {
   std::unordered_map<Symbol, int> fact_vars_;
 };
 
+/// Mark a meta-rule existential (CompiledRule::target_ce) when its only
+/// action is (redact ?v) and ?v is defined on the id slot of a positive
+/// CE. Every meta template's slot 0 is `id`.
+void mark_existential(CompiledRule& rule) {
+  if (rule.actions.size() != 1) return;
+  const CompiledAction& act = rule.actions.front();
+  if (act.kind != CompiledAction::Kind::Redact ||
+      act.args.front().op != ExprOp::Var) {
+    return;
+  }
+  for (std::size_t p = 0; p < rule.positives.size(); ++p) {
+    for (const auto& def : rule.positives[p].defines) {
+      if (def.slot == 0 && def.var == act.args.front().var) {
+        rule.target_ce = static_cast<int>(p);
+        return;
+      }
+    }
+  }
+}
+
 GroundFact lower_ground_fact(const PatternCEAst& pat, const Schema& schema,
                              SymbolTable& symbols) {
   auto tmpl = schema.find(pat.tmpl);
@@ -454,6 +474,7 @@ Program analyze(const ProgramAst& ast, std::shared_ptr<SymbolTable> symbols) {
     if (!rule_ast.is_meta) continue;
     prog.meta_rules.push_back(meta_compiler.compile(
         rule_ast, static_cast<RuleId>(prog.meta_rules.size())));
+    mark_existential(prog.meta_rules.back());
   }
 
   // 5. Initial facts.

@@ -107,6 +107,14 @@ struct CompiledRule {
   /// Original source CE position of each positive pattern (for MEA and
   /// diagnostics).
   std::vector<int> source_positions;
+
+  /// Meta-rules only: the positive CE whose `id` slot defines ?v when
+  /// the rule's sole action is `(redact ?v)`, else -1. Redaction is
+  /// idempotent, so such a rule is *existential*: one match per target
+  /// decides it, and the meta engine queries for a witness per target
+  /// instead of enumerating and firing every match.
+  int target_ce = -1;
+  bool existential() const { return target_ce >= 0; }
 };
 
 /// One alpha memory specification (shared across patterns and rules).

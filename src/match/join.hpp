@@ -11,6 +11,8 @@
 // derive() goes one step further and, given the delta's DeriveWindow,
 // enumerates each new instantiation from only one of its seeds (see
 // DeriveWindow), so a delta derives every new match exactly once.
+// exists() walks the same plan but stops at the first complete match:
+// the existential query the meta engine asks per redaction target.
 //
 // Hot-path structure: probe hashes are composed directly from the bound
 // environment (no key-value vector is materialized), index groups are
@@ -146,6 +148,7 @@ class JoinEngine {
       : rules_(rules), alphas_(alphas), plans_(build_join_plans(rules, alphas)) {}
 
   AlphaStore& alphas() { return alphas_; }
+  const AlphaStore& alphas() const { return alphas_; }
   const RulePlan& plan(RuleId rule) const { return plans_[rule]; }
   const std::vector<RulePlan>& plans() const { return plans_; }
 
@@ -191,7 +194,32 @@ class JoinEngine {
         plan.derive[static_cast<std::size_t>(win.seed_pos)];
     scratch.env.assign(static_cast<std::size_t>(r.num_vars), Value{});
     scratch.facts.assign(r.positives.size(), kInvalidFact);
-    derive_dfs(wm, r, plan, dp, 0, win, scratch.env, scratch.facts, emit);
+    derive_dfs<true>(wm, r, plan, dp, 0, win, scratch.env, scratch.facts,
+                     [&](const std::vector<FactId>& facts,
+                         std::span<const Value> env) {
+                       emit(facts, env);
+                       return false;
+                     });
+  }
+
+  /// Does `rule` have at least one match with `target` (a fact in the
+  /// alpha of positive position `target_pos`) at that position? Walks
+  /// the same reordered plan as derive() and returns at the first
+  /// complete match. No once-only window applies: the target may fill
+  /// other positions too, so an unguarded self-join matches (f, f).
+  bool exists(const WorkingMemory& wm, RuleId rule, int target_pos,
+              FactId target, JoinScratch& scratch) const {
+    const CompiledRule& r = rules_[rule];
+    const RulePlan& plan = plans_[rule];
+    const DerivePlan& dp = plan.derive[static_cast<std::size_t>(target_pos)];
+    scratch.env.assign(static_cast<std::size_t>(r.num_vars), Value{});
+    scratch.facts.assign(r.positives.size(), kInvalidFact);
+    return derive_dfs<false>(
+        wm, r, plan, dp, 0, {kInvalidFact, target, target_pos}, scratch.env,
+        scratch.facts,
+        [](const std::vector<FactId>&, std::span<const Value>) {
+          return true;
+        });
   }
 
   /// Re-derive the instantiations of `rule` that the retraction of
@@ -293,14 +321,16 @@ class JoinEngine {
     return true;
   }
 
-  template <typename Emit>
-  void derive_dfs(const WorkingMemory& wm, const CompiledRule& r,
+  /// DFS over a DerivePlan from step `s`. `emit` returns true to stop
+  /// the walk; so does derive_dfs. kOnceOnly applies `win`'s once-only
+  /// filter (derive); without it only win.seed is read (exists).
+  template <bool kOnceOnly, typename Emit>
+  bool derive_dfs(const WorkingMemory& wm, const CompiledRule& r,
                   const RulePlan& plan, const DerivePlan& dp, std::size_t s,
                   const DeriveWindow& win, std::vector<Value>& env,
                   std::vector<FactId>& facts, Emit&& emit) const {
     if (s == dp.steps.size()) {
-      if (negatives_ok(wm, r, plan, env)) emit(facts, env);
-      return;
+      return negatives_ok(wm, r, plan, env) && emit(facts, env);
     }
     const DeriveStep& step = dp.steps[s];
     const FactStore& store = wm.store();
@@ -309,19 +339,21 @@ class JoinEngine {
     // already proved every join equality for this candidate.
     auto try_fact = [&](FactRow row, bool verified) {
       const FactView fact = store.view_row(row);
-      // Once-only: an earlier seeding of the delta derives this match
-      // (see DeriveWindow). Step 0's own seed passes: it is not earlier
-      // than itself.
       const FactId id = fact.id();
-      if (id < win.seed ? id >= win.delta_front
-                        : id == win.seed && step.seeded_earlier) {
-        return;
+      if constexpr (kOnceOnly) {
+        // Once-only: an earlier seeding of the delta derives this match
+        // (see DeriveWindow). Step 0's own seed passes: it is not
+        // earlier than itself.
+        if (id < win.seed ? id >= win.delta_front
+                          : id == win.seed && step.seeded_earlier) {
+          return false;
+        }
       }
       if (!verified) {
         for (const auto& eq : step.eqs) {
           if (fact.slot(static_cast<std::size_t>(eq.slot)) !=
               env[static_cast<std::size_t>(eq.var)]) {
-            return;
+            return false;
           }
         }
       }
@@ -330,36 +362,38 @@ class JoinEngine {
             fact.slot(static_cast<std::size_t>(def.slot));
       }
       for (const CompiledExpr* guard : step.guards) {
-        if (!CompiledExpr::truthy(guard->eval(env))) return;
+        if (!CompiledExpr::truthy(guard->eval(env))) return false;
       }
       facts[static_cast<std::size_t>(step.pattern)] = id;
-      derive_dfs(wm, r, plan, dp, s + 1, win, env, facts, emit);
+      return derive_dfs<kOnceOnly>(wm, r, plan, dp, s + 1, win, env, facts,
+                                   emit);
     };
 
     if (s == 0) {
       // Step 0 is the fixed position: exactly the seed.
-      try_fact(store.row_of(win.seed), false);
-      return;
+      return try_fact(store.row_of(win.seed), false);
     }
     const AlphaMemory& mem = alphas_.memory(step.alpha);
     if (step.index_handle >= 0) {
       const auto hit = mem.probe_group_canon(
           step.index_handle, env_key_hash(step.key_vars, env));
-      if (!hit.group) return;
-      if (hit.rep != kNoFactRow && step.key_covers) {
-        if (!canon_matches(store.view_row(hit.rep), hit.rep_slots,
-                           step.key_vars, env)) {
-          return;
-        }
-        for (FactRow row : *hit.group) try_fact(row, true);
-      } else {
-        for (FactRow row : *hit.group) try_fact(row, false);
+      if (!hit.group) return false;
+      const bool verified = hit.rep != kNoFactRow && step.key_covers;
+      if (verified && !canon_matches(store.view_row(hit.rep), hit.rep_slots,
+                                     step.key_vars, env)) {
+        return false;
       }
-      return;
+      for (FactRow row : *hit.group) {
+        if (try_fact(row, verified)) return true;
+      }
+      return false;
     }
     // No join key: scan the whole memory in place (alpha memories are
     // never mutated while a join enumerates).
-    for (FactRow row : mem.rows()) try_fact(row, false);
+    for (FactRow row : mem.rows()) {
+      if (try_fact(row, false)) return true;
+    }
+    return false;
   }
 
   template <typename Emit>

@@ -18,6 +18,7 @@ TreatMatcher::TreatMatcher(std::span<const CompiledRule> rules,
       negative_uses_(alpha_specs.size()) {
   for (RuleId r = 0; r < rules_.size(); ++r) {
     const CompiledRule& rule = rules_[r];
+    if (rule.existential()) continue;
     for (std::size_t p = 0; p < rule.positives.size(); ++p) {
       positive_uses_[rule.positives[p].alpha].push_back(
           {r, static_cast<int>(p)});

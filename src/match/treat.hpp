@@ -35,12 +35,16 @@ class TreatMatcher : public Matcher {
   /// `rules` and `alpha_specs` must outlive the matcher (they live in the
   /// Program). Works for object rules and, with the meta schema's specs,
   /// for meta rules too — the meta engine instantiates one of these.
+  /// Existential meta-rules (CompiledRule::target_ce) keep their alpha
+  /// memories and join plans but derive no instantiations: the meta
+  /// engine queries them one target at a time through join().
   TreatMatcher(std::span<const CompiledRule> rules,
                std::span<const AlphaSpec> alpha_specs,
                std::size_t template_count);
 
   void apply_delta(const WorkingMemory& wm, const Delta& delta) override;
   ConflictSet& conflict_set() override { return cs_; }
+  const JoinEngine& join() const { return join_; }
   const MatchStats& stats() const override { return stats_; }
   const char* name() const override { return "treat"; }
 

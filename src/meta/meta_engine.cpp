@@ -1,8 +1,6 @@
 #include "meta/meta_engine.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "match/treat.hpp"
 #include "meta/reify.hpp"
@@ -21,31 +19,46 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
   if (!active() || eligible.empty()) return outcome;
 
   WorkingMemory meta_wm(program_.meta_schema);
+  // meta_facts[k] is the meta fact of eligible[k]; per-cycle state below
+  // is indexed by that position k.
   const std::vector<FactId> meta_facts =
       reify_conflict_set(program_, object_wm, cs, eligible, meta_wm);
+  auto position_of = [&](InstId id) {
+    return static_cast<std::size_t>(
+        std::lower_bound(eligible.begin(), eligible.end(), id) -
+        eligible.begin());
+  };
 
-  // Object InstId -> meta FactId, for retraction on redact.
-  std::unordered_map<InstId, FactId> fact_of_inst;
-  fact_of_inst.reserve(eligible.size());
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    fact_of_inst.emplace(eligible[i], meta_facts[i]);
+  // Retraction can only create a match through a quantified CE, and an
+  // enumerated rule ends the loop only once its conflict set runs dry;
+  // a program of positive-only existential rules is done in one round.
+  bool one_round = true;
+  for (const CompiledRule& mrule : program_.meta_rules) {
+    if (!mrule.existential() || !mrule.negatives.empty()) one_round = false;
   }
 
   TreatMatcher matcher(program_.meta_rules, program_.meta_alphas,
                        program_.meta_schema.size());
-  std::unordered_set<InstId> redacted;
+  const JoinEngine& join = matcher.join();
+  std::vector<char> redacted(eligible.size(), 0);
+  std::vector<std::size_t> newly_redacted;  // positions, this round
+  auto redact = [&](std::size_t pos) {
+    if (redacted[pos]) return;
+    redacted[pos] = 1;
+    newly_redacted.push_back(pos);
+  };
+  JoinScratch scratch;
+  std::vector<Value> env;
 
   for (;;) {
     ++outcome.rounds;
     matcher.apply_delta(meta_wm, meta_wm.drain_delta());
     ConflictSet& meta_cs = matcher.conflict_set();
     const std::vector<InstId> to_fire = meta_cs.alive_ids();
-    if (to_fire.empty()) break;
+    newly_redacted.clear();
 
-    // Fire the whole meta conflict set (set-oriented), collecting the
-    // round's redactions.
-    std::vector<InstId> newly_redacted;
-    std::vector<Value> env;
+    // Pass 1: fire the enumerated rules' whole meta conflict set
+    // (set-oriented), collecting the round's redactions.
     for (InstId mid : to_fire) {
       const Instantiation& minst = meta_cs.get(mid);
       const CompiledRule& mrule = program_.meta_rules[minst.rule];
@@ -60,10 +73,8 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
               throw RuntimeError("redact target must be an instantiation id");
             }
             const auto target = static_cast<InstId>(v.as_int());
-            if (fact_of_inst.contains(target) &&
-                redacted.insert(target).second) {
-              newly_redacted.push_back(target);
-            }
+            const std::size_t pos = position_of(target);
+            if (pos < eligible.size() && eligible[pos] == target) redact(pos);
             break;
           }
           case CompiledAction::Kind::Bind: {
@@ -92,24 +103,51 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
       ++outcome.meta_firings;
     }
 
+    // Pass 2: each existential rule redacts every target still standing
+    // that has one witness match. Like pass 1 it reads the round-start
+    // meta WM. Past round 1 only rules with quantified CEs can have
+    // gained a match.
+    for (const CompiledRule& mrule : program_.meta_rules) {
+      if (!mrule.existential() ||
+          (outcome.rounds > 1 && mrule.negatives.empty())) {
+        continue;
+      }
+      const AlphaMemory& targets = join.alphas().memory(
+          mrule.positives[static_cast<std::size_t>(mrule.target_ce)].alpha);
+      for (FactRow row : targets.rows()) {
+        const FactView target = meta_wm.store().view_row(row);
+        const std::size_t pos =
+            position_of(static_cast<InstId>(target.slot(0).as_int()));
+        if (!redacted[pos] && join.exists(meta_wm, mrule.id, mrule.target_ce,
+                                          target.id(), scratch)) {
+          redact(pos);
+          ++outcome.witnesses;
+        }
+      }
+    }
+
     if (newly_redacted.empty()) {
-      // All firings were printout-only; refraction guarantees progress,
-      // so loop once more — the next round's conflict set shrinks.
+      // Firings without a new redaction (printout, or a redaction of
+      // what is already gone): refraction guarantees progress, so loop
+      // once more — the next round's conflict set shrinks.
+      if (to_fire.empty()) break;
       continue;
     }
     // Withdraw the redacted instantiations' meta facts; the next round's
     // matches can no longer be justified by them.
     std::sort(newly_redacted.begin(), newly_redacted.end());
-    for (InstId target : newly_redacted) {
-      meta_wm.retract(fact_of_inst.at(target));
-      outcome.redacted.push_back(target);
+    for (std::size_t pos : newly_redacted) {
+      meta_wm.retract(meta_facts[pos]);
+      outcome.redacted.push_back(eligible[pos]);
     }
+    if (one_round) break;
   }
 
   std::sort(outcome.redacted.begin(), outcome.redacted.end());
   PARULEL_OBS_ONLY(if (metrics) {
     metrics->add("meta.rounds", outcome.rounds);
     metrics->add("meta.firings", outcome.meta_firings);
+    metrics->add("meta.witnesses", outcome.witnesses);
     metrics->add("meta.redactions", outcome.redacted.size());
   })
   return outcome;

@@ -2,16 +2,25 @@
 //
 // Once per object-level cycle, the PARULEL engine hands the eligible
 // conflict set to this evaluator. It reifies the instantiations into a
-// private meta working memory, matches the program's defmetarule set
-// against them, and fires *all* meta instantiations per round,
-// set-oriented like the object level. Each (redact ?i) retracts the
-// reified fact for object instantiation ?i, which can enable or disable
-// further meta matches; rounds repeat until no new redaction occurs.
+// private meta working memory and runs rounds until no new redaction
+// occurs. Each round reads the round-start meta WM in two passes:
+//   1. Enumerated rules (bind, printout, several actions, computed
+//      targets) fire *all* their meta instantiations, set-oriented like
+//      the object level.
+//   2. Existential rules — sole action (redact ?v), ?v on a positive
+//      CE's id slot (CompiledRule::target_ce) — are a query, not a
+//      firing: redaction is idempotent, so each target still standing
+//      is redacted when JoinEngine::exists finds one witness match.
+//      Their instantiations are never built.
+// The round's redactions then retract the reified facts, which can
+// enable (through (not ...)) or disable further meta matches.
 //
 // Termination: a redacted instantiation's meta fact is withdrawn and
 // never re-asserted within the fixpoint, and meta-level refraction stops
 // repeat firings, so the redacted set grows monotonically and the loop
-// ends after at most |eligible| productive rounds.
+// ends after at most |eligible| productive rounds. Retraction cannot
+// create a positive-only match, so a program of positive-only
+// existential rules ends after one round.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +39,8 @@ class MetricsRegistry;
 
 struct MetaOutcome {
   std::vector<InstId> redacted;     ///< object-level instantiation ids
-  std::uint64_t meta_firings = 0;
+  std::uint64_t meta_firings = 0;   ///< enumerated meta instantiations fired
+  std::uint64_t witnesses = 0;      ///< redactions found by existential query
   std::uint64_t rounds = 0;
 };
 
@@ -44,7 +54,8 @@ class MetaEngine {
   /// Run the redaction fixpoint over `eligible` (ascending InstIds).
   /// `output`, when non-null, receives meta-rule printout text.
   /// `metrics`, when non-null, accumulates meta.rounds / meta.firings /
-  /// meta.redactions counters across fixpoints (obs layer).
+  /// meta.witnesses / meta.redactions counters across fixpoints (obs
+  /// layer).
   MetaOutcome run(const WorkingMemory& object_wm, const ConflictSet& cs,
                   const std::vector<InstId>& eligible,
                   std::ostream* output = nullptr,

@@ -27,6 +27,7 @@ void RunStats::absorb(const CycleStats& c) {
   total_write_conflicts += c.write_conflicts;
   total_meta_firings += c.meta_firings;
   total_meta_rounds += c.meta_rounds;
+  total_meta_witnesses += c.meta_witnesses;
   peak_conflict_set = std::max(peak_conflict_set, c.conflict_set_size);
   match_ns += c.match_ns;
   redact_ns += c.redact_ns;
@@ -178,6 +179,7 @@ constexpr FieldDef<CycleStats> kCycleFields[] = {
     {"write_conflicts", &CycleStats::write_conflicts},
     {"meta_rounds", &CycleStats::meta_rounds},
     {"meta_firings", &CycleStats::meta_firings},
+    {"meta_witnesses", &CycleStats::meta_witnesses},
     {"match_ns", &CycleStats::match_ns},
     {"redact_ns", &CycleStats::redact_ns},
     {"fire_ns", &CycleStats::fire_ns},
@@ -193,6 +195,7 @@ constexpr FieldDef<RunStats> kRunFields[] = {
     {"write_conflicts", &RunStats::total_write_conflicts},
     {"meta_firings", &RunStats::total_meta_firings},
     {"meta_rounds", &RunStats::total_meta_rounds},
+    {"meta_witnesses", &RunStats::total_meta_witnesses},
     {"peak_conflict_set", &RunStats::peak_conflict_set},
     {"wall_ns", &RunStats::wall_ns},
     {"match_ns", &RunStats::match_ns},

@@ -56,6 +56,7 @@ struct CycleStats {
   // Meta-level work (parallel engine; zero for the sequential baseline).
   std::uint64_t meta_rounds = 0;        ///< redaction fixpoint rounds
   std::uint64_t meta_firings = 0;       ///< meta instantiations fired
+  std::uint64_t meta_witnesses = 0;     ///< existential-rule redactions
 
   // Phase times, nanoseconds.
   std::uint64_t match_ns = 0;
@@ -78,6 +79,7 @@ struct RunStats {
   std::uint64_t total_write_conflicts = 0;
   std::uint64_t total_meta_firings = 0;
   std::uint64_t total_meta_rounds = 0;
+  std::uint64_t total_meta_witnesses = 0;
   std::uint64_t peak_conflict_set = 0;
   bool halted = false;      ///< a rule executed (halt)
   bool quiescent = false;   ///< conflict set drained

@@ -50,6 +50,7 @@ FactId WorkingMemory::assert_fact(TemplateId tmpl, std::vector<Value> slots) {
   extents_[tmpl].push_back(id);
   group.push_back(row);
   ++alive_count_;
+  fingerprint_ ^= fingerprint_mix(h);
   pending_.added.push_back(id);
   return id;
 }
@@ -78,6 +79,7 @@ FactId WorkingMemory::assert_fact_at(FactId id, TemplateId tmpl,
   extents_[tmpl].push_back(id);
   group.push_back(row);
   ++alive_count_;
+  fingerprint_ ^= fingerprint_mix(h);
   pending_.added.push_back(id);
   return id;
 }
@@ -99,6 +101,7 @@ bool WorkingMemory::retract(FactId id) {
   if (row == kNoFactRow || !store_.alive_row(row)) return false;
   store_.set_alive(row, false);
   --alive_count_;
+  fingerprint_ ^= fingerprint_mix(store_.content_hash_of(row));
 
   // Swap-remove from extent; fix the moved fact's position.
   auto& ext = extents_[store_.tmpl_of(row)];
@@ -185,13 +188,16 @@ std::string WorkingMemory::to_string(FactId id,
 }
 
 std::uint64_t WorkingMemory::content_fingerprint() const {
-  // XOR of re-mixed per-fact content hashes is order-independent.
-  std::uint64_t fp = 0x5bd1e995u;
+#ifndef NDEBUG
+  // The running value must equal a scan of every alive row.
+  std::uint64_t scan = kFingerprintSeed;
   for (std::size_t row = 0; row < store_.rows(); ++row) {
     if (!store_.alive_row(static_cast<FactRow>(row))) continue;
-    fp ^= fingerprint_mix(store_.content_hash_of(static_cast<FactRow>(row)));
+    scan ^= fingerprint_mix(store_.content_hash_of(static_cast<FactRow>(row)));
   }
-  return fp;
+  assert(scan == fingerprint_);
+#endif
+  return fingerprint_;
 }
 
 }  // namespace parulel

@@ -119,8 +119,12 @@ class WorkingMemory {
   /// A stable fingerprint of the alive fact *contents* (ids excluded):
   /// two stores with the same alive facts hash equal regardless of the
   /// order or time tags of assertion. Used by determinism/equivalence
-  /// tests between engines.
+  /// tests between engines. O(1): kept as a running XOR that every
+  /// assert and retract updates.
   std::uint64_t content_fingerprint() const;
+
+  /// content_fingerprint() of an empty store.
+  static constexpr std::uint64_t kFingerprintSeed = 0x5bd1e995u;
 
  private:
   const Schema& schema_;
@@ -132,6 +136,8 @@ class WorkingMemory {
   FactId next_id_ = 1;
   FactId drain_floor_ = 0;  ///< ids at or below this predate the pending delta
   std::size_t alive_count_ = 0;
+  /// XOR of fingerprint_mix(content hash) over alive facts, seeded.
+  std::uint64_t fingerprint_ = kFingerprintSeed;
   Delta pending_;
   std::vector<std::size_t> hash_scratch_;  ///< per-slot hashes of one assert
 };

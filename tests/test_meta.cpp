@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "match/treat.hpp"
 #include "meta/meta_engine.hpp"
 #include "meta/reify.hpp"
+#include "meta_reference.hpp"
 #include "workloads/workloads.hpp"
 
 namespace parulel {
@@ -32,6 +35,18 @@ class MetaTest : public ::testing::Test {
 
   std::vector<InstId> eligible() {
     return matcher_->conflict_set().alive_ids();
+  }
+
+  /// Run the fixpoint and expect the enumerate-every-match reference's
+  /// redaction set.
+  MetaOutcome run_checked() {
+    const auto ids = eligible();
+    const MetaOutcome outcome =
+        MetaEngine(program_).run(*wm_, matcher_->conflict_set(), ids);
+    EXPECT_EQ(outcome.redacted,
+              testing_meta::reference_redactions(
+                  program_, *wm_, matcher_->conflict_set(), ids));
+    return outcome;
   }
 
   Program program_;
@@ -154,6 +169,27 @@ TEST_F(MetaTest, RedactedInstantiationCannotJustifyLaterRedactions) {
 }
 
 TEST_F(MetaTest, MetaFiringsAndRoundsCounted) {
+  // A printout makes the rule enumerated: every match fires.
+  load(R"(
+    (deftemplate item (slot v))
+    (defrule take (item (v ?x)) => (halt))
+    (defmetarule pick-one
+      (inst-take (id ?i))
+      (inst-take (id ?j))
+      (test (< ?i ?j))
+      =>
+      (printout "drop " ?j)
+      (redact ?j))
+    (deffacts f (item (v 1)) (item (v 2)) (item (v 3))))");
+  ASSERT_FALSE(program_.meta_rules[0].existential());
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.meta_firings, 3u);  // all three pairs
+  EXPECT_EQ(outcome.witnesses, 0u);
+  EXPECT_EQ(outcome.rounds, 2u);        // the second round finds nothing
+  EXPECT_EQ(outcome.redacted.size(), 2u);
+}
+
+TEST_F(MetaTest, ExistentialRuleCountsOneWitnessPerRedaction) {
   load(R"(
     (deftemplate item (slot v))
     (defrule take (item (v ?x)) => (halt))
@@ -163,12 +199,109 @@ TEST_F(MetaTest, MetaFiringsAndRoundsCounted) {
       (test (< ?i ?j))
       =>
       (redact ?j))
-    (deffacts f (item (v 1)) (item (v 2))))");
-  MetaEngine meta(program_);
-  const auto outcome = meta.run(*wm_, matcher_->conflict_set(), eligible());
-  EXPECT_GE(outcome.meta_firings, 1u);
-  EXPECT_GE(outcome.rounds, 1u);
-  EXPECT_EQ(outcome.redacted.size(), 1u);
+    (deffacts f (item (v 1)) (item (v 2)) (item (v 3))))");
+  ASSERT_TRUE(program_.meta_rules[0].existential());
+  EXPECT_EQ(program_.meta_rules[0].target_ce, 1);
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.meta_firings, 0u);
+  EXPECT_EQ(outcome.witnesses, 2u);
+  EXPECT_EQ(outcome.rounds, 1u);  // positive-only: retraction adds nothing
+  EXPECT_EQ(outcome.redacted.size(), 2u);
+}
+
+TEST_F(MetaTest, AnalyzerMarksOnlyRedactOfAnIdVariableExistential) {
+  load(R"(
+    (deftemplate item (slot v))
+    (defrule take (item (v ?x)) => (halt))
+    (defmetarule by-id (inst-take (id ?i)) => (redact ?i))
+    (defmetarule computed (inst-take (id ?i)) => (redact (+ ?i 0)))
+    (defmetarule via-slot (inst-take (id ?i) (x ?i)) => (redact ?i))
+    (defmetarule not-id (inst-take (x ?v)) => (redact ?v))
+    (defmetarule with-bind
+      (inst-take (id ?i)) => (bind ?k ?i) (redact ?k))
+    (defmetarule two-actions
+      (inst-take (id ?i)) => (redact ?i) (redact ?i))
+    (deffacts f (item (v 1))))");
+  std::vector<bool> existential;
+  for (const auto& rule : program_.meta_rules) {
+    existential.push_back(rule.existential());
+  }
+  EXPECT_EQ(existential, (std::vector<bool>{true, false, true, false, false,
+                                            false}));
+}
+
+TEST_F(MetaTest, ExistentialRoundsReadTheRoundStartMemory) {
+  // Every instantiation has a distinct partner, so all n are redacted.
+  // Retracting targets as they are found would leave one survivor.
+  load(R"(
+    (deftemplate item (slot v))
+    (defrule take (item (v ?x)) => (halt))
+    (defmetarule any-other
+      (inst-take (id ?i))
+      (inst-take (id ?j))
+      (test (!= ?i ?j))
+      =>
+      (redact ?j))
+    (deffacts f (item (v 1)) (item (v 2)) (item (v 3)) (item (v 4))))");
+  ASSERT_TRUE(program_.meta_rules[0].existential());
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.redacted, eligible());
+  EXPECT_EQ(outcome.witnesses, 4u);
+}
+
+TEST_F(MetaTest, UnguardedSelfPairIsItsOwnWitness) {
+  // One instantiation matches both CEs of an unguarded self-join.
+  load(R"(
+    (deftemplate item (slot v))
+    (defrule take (item (v ?x)) => (halt))
+    (defmetarule pair
+      (inst-take (id ?i))
+      (inst-take (id ?j))
+      =>
+      (redact ?j))
+    (deffacts f (item (v 1))))");
+  ASSERT_TRUE(program_.meta_rules[0].existential());
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.redacted, eligible());
+  EXPECT_EQ(outcome.witnesses, 1u);
+}
+
+TEST_F(MetaTest, NotCeTargetEnabledInSecondRound) {
+  // rc is blocked while any rb instantiation stands; round 1 redacts the
+  // rb, so round 2's re-query finds rc's witness.
+  load(R"(
+    (deftemplate b (slot v))
+    (deftemplate c (slot v))
+    (defrule rb (b (v ?x)) => (halt))
+    (defrule rc (c (v ?x)) => (halt))
+    (defmetarule drop-b (inst-rb (id ?i)) => (redact ?i))
+    (defmetarule drop-c-once-b-gone
+      (inst-rc (id ?k))
+      (not (inst-rb))
+      =>
+      (redact ?k))
+    (deffacts f (b (v 1)) (c (v 2)) (c (v 3))))");
+  ASSERT_TRUE(program_.meta_rules[1].existential());
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.redacted, eligible());
+  EXPECT_EQ(outcome.witnesses, 3u);
+  EXPECT_EQ(outcome.rounds, 3u);  // rb; then both rc; then nothing new
+}
+
+TEST_F(MetaTest, ComputedTargetStaysEnumerated) {
+  load(R"(
+    (deftemplate item (slot v))
+    (defrule take (item (v ?x)) => (halt))
+    (defmetarule next
+      (inst-take (id ?i))
+      =>
+      (redact (+ ?i 1)))
+    (deffacts f (item (v 1)) (item (v 2)) (item (v 3))))");
+  ASSERT_FALSE(program_.meta_rules[0].existential());
+  const auto outcome = run_checked();
+  EXPECT_EQ(outcome.meta_firings, 3u);
+  EXPECT_EQ(outcome.witnesses, 0u);
+  EXPECT_FALSE(outcome.redacted.empty());
 }
 
 TEST_F(MetaTest, SelfRedactionIsAllowedAndTerminates) {
@@ -202,6 +335,76 @@ TEST_F(MetaTest, RedactOfUnknownIdIsIgnored) {
   EXPECT_TRUE(outcome.redacted.empty());
 }
 
+// ------------------------------------- equivalence with the reference
+
+/// benchmark/programs/book.clp plus a burst of crossing orders, so both
+/// of its meta-rules have conflicts to resolve.
+std::string book_with_orders() {
+  std::ifstream in(std::string(PARULEL_SOURCE_DIR) +
+                   "/benchmark/programs/book.clp");
+  std::stringstream src;
+  src << in.rdbuf();
+  EXPECT_FALSE(src.str().empty());
+  src << "(deffacts orders\n";
+  const char* syms[] = {"acme", "globex"};
+  for (int i = 0; i < 12; ++i) {
+    src << "  (buy (id " << 100 + i << ") (sym " << syms[i % 2] << ") (px "
+        << 50 + i % 5 << ") (qty 1))\n";
+    src << "  (sell (id " << 200 + i << ") (sym " << syms[(i / 2) % 2]
+        << ") (px " << 45 + i % 4 << ") (qty 1))\n";
+  }
+  src << ")\n";
+  return src.str();
+}
+
+void expect_workload_matches_reference(const std::string& source) {
+  const Program p = parse_program(source);
+  EXPECT_GT(testing_meta::expect_meta_matches_reference(p, 10'000), 0u);
+}
+
+TEST(MetaReference, MannersRedactionsMatchEveryCycle) {
+  expect_workload_matches_reference(workloads::make_manners(48, 6, 1).source);
+}
+
+TEST(MetaReference, RuleBuiltWaltzRedactionsMatchEveryCycle) {
+  expect_workload_matches_reference(workloads::make_waltz(8, false).source);
+}
+
+TEST(MetaReference, SieveRedactionsMatchEveryCycle) {
+  expect_workload_matches_reference(workloads::make_sieve(300, true).source);
+}
+
+TEST(MetaReference, RoutingRedactionsMatchEveryCycle) {
+  expect_workload_matches_reference(
+      workloads::make_routing(40, 120, 3, true).source);
+}
+
+TEST(MetaReference, BookRedactionsMatchEveryCycle) {
+  expect_workload_matches_reference(book_with_orders());
+}
+
+TEST(MetaWitnesses, EqualRedactionsWhenEveryMetaRuleIsExistential) {
+  for (const auto& w :
+       {workloads::make_manners(32, 4, 2), workloads::make_waltz(4, false),
+        workloads::make_sieve(200, true)}) {
+    SCOPED_TRACE(w.name);
+    const Program p = parse_program(w.source);
+    for (const auto& rule : p.meta_rules) ASSERT_TRUE(rule.existential());
+    EngineConfig cfg;
+    cfg.matcher = MatcherKind::Treat;
+    cfg.trace_cycles = true;
+    ParallelEngine engine(p, cfg);
+    engine.assert_initial_facts();
+    const RunStats stats = engine.run();
+    EXPECT_GT(stats.total_redactions, 0u);
+    EXPECT_EQ(stats.total_meta_witnesses, stats.total_redactions);
+    EXPECT_EQ(stats.total_meta_firings, 0u);
+    for (const CycleStats& c : stats.per_cycle) {
+      EXPECT_EQ(c.meta_witnesses, c.redacted) << "cycle " << c.cycle;
+    }
+  }
+}
+
 // ------------------------------------------------- manners goldens
 
 /// FNV-1a over every firing record (cycle, rule, fact ids) in firing
@@ -232,6 +435,7 @@ struct MannersGolden {
   std::uint64_t redactions;
   std::uint64_t meta_firings;
   std::uint64_t meta_rounds;
+  std::uint64_t meta_witnesses;
   std::uint64_t insts_derived;
   std::uint64_t insts_invalidated;
 };
@@ -239,13 +443,15 @@ struct MannersGolden {
 // Recorded from the matchers as they stood before derivation became
 // once-only; the redaction fixpoint must reproduce every value bit for
 // bit, because instantiation ids (and so every meta-rule `<` test) are
-// part of the observable behaviour.
+// part of the observable behaviour. The meta columns follow from
+// manners' meta-rules being existential: no meta instantiation fires,
+// one witness is found per redaction, and each fixpoint takes one round.
 constexpr MannersGolden kMannersGoldens[] = {
-    {1, 0x892a34666dd12daull, 0x22a0eebabc576f7aull, 32, 32, 364, 4233, 62,
+    {1, 0x892a34666dd12daull, 0x22a0eebabc576f7aull, 32, 32, 364, 0, 32, 364,
      396, 364},
-    {2, 0x66078bc27681f6daull, 0xd2573bd352b287a5ull, 32, 32, 366, 4274, 63,
+    {2, 0x66078bc27681f6daull, 0xd2573bd352b287a5ull, 32, 32, 366, 0, 32, 366,
      398, 366},
-    {3, 0xd8074fab61e5b8a2ull, 0x54d8445b35ee43a5ull, 32, 32, 318, 3073, 62,
+    {3, 0xd8074fab61e5b8a2ull, 0x54d8445b35ee43a5ull, 32, 32, 318, 0, 32, 318,
      350, 318},
 };
 
@@ -272,6 +478,7 @@ void expect_manners_golden(const MannersGolden& g, MatcherKind matcher,
   EXPECT_EQ(stats.total_redactions, g.redactions);
   EXPECT_EQ(stats.total_meta_firings, g.meta_firings);
   EXPECT_EQ(stats.total_meta_rounds, g.meta_rounds);
+  EXPECT_EQ(stats.total_meta_witnesses, g.meta_witnesses);
   EXPECT_EQ(ms.insts_derived, g.insts_derived);
   EXPECT_EQ(ms.insts_invalidated, g.insts_invalidated);
 }

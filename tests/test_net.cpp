@@ -53,6 +53,17 @@ constexpr const char* kCopySource = R"((deftemplate item (slot id))
   (assert (seen (id ?i))))
 )";
 
+/// Poll `pred` for up to `ms` milliseconds.
+bool eventually(std::uint64_t ms, const std::function<bool()>& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return pred();
+}
+
 std::string write_temp_program() {
   const std::string path = "/tmp/parulel_test_net.clp";
   std::ofstream out(path);
@@ -255,18 +266,15 @@ TEST(NetRobustness, MidRequestDisconnectLeavesServerHealthy) {
   // must be reaped (sessions_closed catches up with sessions_opened).
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", fx.server.port()));
+  // The reap runs on the server's loop; under a loaded host it can take
+  // well over a second, so wait on the event with a generous deadline.
   Response r;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    ASSERT_TRUE(client.request("stats", r)) << client.error();
-    ASSERT_TRUE(r.ok()) << r.status;
-    if (r.status.find("sessions_opened=1") != std::string::npos &&
-        r.status.find("sessions_closed=1") != std::string::npos) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_NE(r.status.find("sessions_closed=1"), std::string::npos)
-      << r.status;
+  const bool reaped = eventually(10'000, [&] {
+    if (!client.request("stats", r) || !r.ok()) return false;
+    return r.status.find("sessions_opened=1") != std::string::npos &&
+           r.status.find("sessions_closed=1") != std::string::npos;
+  });
+  EXPECT_TRUE(reaped) << client.error() << " " << r.status;
 
   // And a fresh connection can reuse the dropped client's session name.
   ASSERT_TRUE(client.request("open s " + program, r));
@@ -919,17 +927,6 @@ std::string slurp(const std::string& path) {
   if (!in) return {};
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-}
-
-/// Poll `pred` for up to `ms` milliseconds.
-bool eventually(std::uint64_t ms, const std::function<bool()>& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return pred();
 }
 
 NetServerConfig replica_config(const std::string& dir,

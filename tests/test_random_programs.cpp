@@ -11,7 +11,9 @@
 //
 // Separately: the PARULEL engine must be trace-identical across thread
 // counts on arbitrary (even non-confluent, non-terminating) programs —
-// determinism needs no confluence, just capped cycles.
+// determinism needs no confluence, just capped cycles. And on the same
+// sweep with random meta-rules added, the redaction fixpoint must match
+// the enumerate-every-match reference on every cycle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,6 +28,7 @@
 #include "match/parallel_treat.hpp"
 #include "match/rete.hpp"
 #include "match/treat.hpp"
+#include "meta_reference.hpp"
 #include "support/rng.hpp"
 
 namespace parulel {
@@ -37,6 +40,9 @@ struct GeneratedProgram {
   std::string source;
   int n_templates;
   std::vector<int> arity;
+  /// Per object rule: its positive-CE variables, i.e. the non-id slots
+  /// its inst-r<k> meta template is sure to have.
+  std::vector<std::vector<std::string>> rule_vars;
 };
 
 /// `active_rhs` emits real actions (asserts of random facts, sometimes a
@@ -101,6 +107,7 @@ GeneratedProgram generate_program(Rng& rng, bool active_rhs = false) {
     };
 
     for (int p = 0; p < n_pos; ++p) emit_pattern(false);
+    out.rule_vars.push_back(used_vars);
     // Type-safe guard: Eq/Ne never throw on mixed kinds.
     if (!used_vars.empty() && rng.below(2) == 0) {
       const std::string& a = used_vars[rng.below(used_vars.size())];
@@ -142,6 +149,61 @@ GeneratedProgram generate_program(Rng& rng, bool active_rhs = false) {
   }
   out.source = src.str();
   return out;
+}
+
+/// Append 2..4 random meta-rules over `gen`'s rules. Most are
+/// redact-only on an id variable (existential): `<` guards over ids,
+/// shared-key joins, `not` CEs, unguarded pairs. Some bind the target
+/// first, which keeps them on the enumerated path.
+std::string generate_meta_rules(Rng& rng, const GeneratedProgram& gen) {
+  std::ostringstream src;
+  const auto n_rules = gen.rule_vars.size();
+  const int n_meta = 2 + static_cast<int>(rng.below(3));
+  for (int m = 0; m < n_meta; ++m) {
+    const auto a = rng.below(n_rules);
+    // Half are self-joins (pick-one style): their two sides are sure to
+    // be populated together.
+    const auto b = rng.below(2) == 0 ? a : rng.below(n_rules);
+    const auto& va = gen.rule_vars[a];
+    const auto& vb = gen.rule_vars[b];
+    // A shared key: some variable slot of each side bound to ?x.
+    const bool keyed = !va.empty() && !vb.empty() && rng.below(2) == 0;
+    src << "(defmetarule m" << m << "\n  (inst-r" << a << " (id ?i)";
+    if (keyed) src << " (" << va[rng.below(va.size())] << " ?x)";
+    src << ")\n";
+    const auto shape = rng.below(4);
+    if (shape == 3) {
+      // Single CE plus a (not ...) over another rule's instantiations,
+      // keyed when possible: enabled only once its blockers are redacted.
+      src << "  (not (inst-r" << b;
+      if (keyed) src << " (" << vb[rng.below(vb.size())] << " ?x)";
+      src << "))\n";
+    } else {
+      src << "  (inst-r" << b << " (id ?j)";
+      if (keyed) src << " (" << vb[rng.below(vb.size())] << " ?x)";
+      src << ")\n";
+      if (shape == 1) src << "  (test (< ?i ?j))\n";
+      if (shape == 2) src << "  (test (!= ?i ?j))\n";
+      // shape 0: unguarded, so a target may be its own witness.
+      if (rng.below(4) == 0) {
+        const auto c = rng.below(n_rules);
+        const auto& vc = gen.rule_vars[c];
+        src << "  (not (inst-r" << c;
+        if (keyed && !vc.empty()) {
+          src << " (" << vc[rng.below(vc.size())] << " ?x)";
+        }
+        src << "))\n";
+      }
+    }
+    const char* target = (shape == 3 || rng.below(2) == 0) ? "?i" : "?j";
+    src << "  =>\n";
+    if (rng.below(5) == 0) {
+      src << "  (bind ?t " << target << ")\n  (redact ?t))\n";
+    } else {
+      src << "  (redact " << target << "))\n";
+    }
+  }
+  return src.str();
 }
 
 // ------------------------------------------------- brute-force oracle
@@ -445,6 +507,56 @@ TEST_P(CompiledDifferentialTest, CompiledMatchesInterpreterEndToEnd) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledDifferentialTest,
                          ::testing::Range(0, 200));
+
+// ------------------ existential redaction vs the enumerated reference
+//
+// The differential sweep's rule sets with random meta-rules appended,
+// and an initial population of ints and symbols (the sweep's int-only
+// facts leave most conflict sets empty). On every cycle, MetaEngine's
+// redaction set must equal the reference that enumerates and fires
+// every meta match (tests/meta_reference.hpp).
+
+TEST(RandomMetaPrograms, RedactionsMatchEnumeratedReference) {
+  int seeds_with_redactions = 0;
+  int seeds_with_existential = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 15485863 + 11);
+    GeneratedProgram gen = generate_program(rng, /*active_rhs=*/true);
+    std::string source = gen.source;
+    source += "(deffacts init\n";
+    for (int i = 0; i < 24; ++i) {
+      const auto t = rng.below(static_cast<std::uint64_t>(gen.n_templates));
+      source += "  (t" + std::to_string(t);
+      for (int s = 0; s < gen.arity[t]; ++s) {
+        source += " (s" + std::to_string(s) + " ";
+        if (rng.below(2) == 0) {
+          source += std::to_string(rng.below(4));
+        } else {
+          source += static_cast<char>('a' + rng.below(3));
+        }
+        source += ")";
+      }
+      source += ")\n";
+    }
+    source += ")\n" + generate_meta_rules(rng, gen);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + source);
+    const Program program = parse_program(source);
+    for (const auto& rule : program.meta_rules) {
+      if (rule.existential()) {
+        ++seeds_with_existential;
+        break;
+      }
+    }
+    if (testing_meta::expect_meta_matches_reference(program, 30) > 0) {
+      ++seeds_with_redactions;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The sweep is not vacuous: 199 of the 200 seeds have an existential
+  // rule, and 80 redact something.
+  EXPECT_GT(seeds_with_existential, 150);
+  EXPECT_GT(seeds_with_redactions, 60);
+}
 
 // ---------------------------- printer round-trip, randomized programs
 

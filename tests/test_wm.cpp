@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "wm/working_memory.hpp"
 
 namespace parulel {
@@ -344,6 +345,66 @@ TEST_F(WmTest, ExactSnapshotReplayKeepsFingerprint) {
   for (FactId id : wm.extent(edge_)) {
     ASSERT_TRUE(replay.alive(id));
     EXPECT_TRUE(replay.view(id).same_content(wm.view(id)));
+  }
+}
+
+// content_fingerprint() is a running value; a random walk through every
+// mutator must keep it equal to a scan of the alive facts computed here.
+TEST_F(WmTest, RunningFingerprintMatchesScanUnderRandomMutation) {
+  auto scan = [](const WorkingMemory& wm) {
+    std::uint64_t fp = WorkingMemory::kFingerprintSeed;
+    for (FactId id = 1; id <= wm.high_water(); ++id) {
+      if (wm.alive(id)) fp ^= fingerprint_mix(wm.view(id).content_hash());
+    }
+    return fp;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    WorkingMemory wm(schema_);
+    EXPECT_EQ(wm.content_fingerprint(), WorkingMemory::kFingerprintSeed);
+    auto random_alive = [&]() -> FactId {
+      for (int tries = 0; tries < 8 && wm.high_water() > 0; ++tries) {
+        const auto id = static_cast<FactId>(
+            rng.between(1, static_cast<std::int64_t>(wm.high_water())));
+        if (wm.alive(id)) return id;
+      }
+      return kInvalidFact;
+    };
+    for (int step = 0; step < 400; ++step) {
+      // Small value ranges so absorbed duplicates happen often.
+      const std::int64_t a = rng.between(0, 7);
+      const std::int64_t b = rng.between(0, 7);
+      switch (rng.below(6)) {
+        case 0:
+        case 1:
+          wm.assert_fact(edge_, pair(a, b));
+          break;
+        case 2:
+          wm.assert_fact(node_, {Value::integer(a)});
+          break;
+        case 3:
+          wm.retract(random_alive());
+          break;
+        case 4:
+          if (const FactId id = random_alive(); id != kInvalidFact) {
+            wm.modify(id, {{0, Value::integer(b)}});
+          }
+          break;
+        case 5:
+          if (rng.below(2) == 0) {
+            wm.reserve_ids(wm.high_water() + 1 +
+                           static_cast<FactId>(rng.below(3)));
+          } else if (!wm.find(edge_, pair(a + 100, b))) {
+            wm.assert_fact_at(wm.high_water() + 1 +
+                                  static_cast<FactId>(rng.below(3)),
+                              edge_, pair(a + 100, b));
+          }
+          break;
+      }
+      if (rng.below(16) == 0) wm.drain_delta();
+      ASSERT_EQ(wm.content_fingerprint(), scan(wm)) << "step " << step;
+    }
   }
 }
 
