@@ -22,8 +22,9 @@ int main() {
   };
 
   JsonReport json("R-T3");
-  std::printf("%-12s %9s %10s %10s %10s %11s\n", "workload", "peak-cs",
-              "firings", "redacted", "red-frac", "redact-time");
+  std::printf("%-12s %9s %10s %10s %10s %11s %21s\n", "workload", "peak-cs",
+              "firings", "redacted", "red-frac", "redact-time",
+              "reify/match/query");
   for (const auto& w : all) {
     const Program p = parse_program(w.source);
     const RunStats s = run_parallel(p, 4);
@@ -35,12 +36,19 @@ int main() {
     const double redact_share =
         s.wall_ns == 0 ? 0 : 100.0 * static_cast<double>(s.redact_ns) /
                                  static_cast<double>(s.wall_ns);
-    std::printf("%-12s %9llu %10llu %10llu %9.1f%% %10.1f%%\n",
+    // The redact phase's own split (laps of one clock: they sum to it).
+    auto of_redact = [&](std::uint64_t ns) {
+      return s.redact_ns == 0 ? 0
+                              : 100.0 * static_cast<double>(ns) /
+                                    static_cast<double>(s.redact_ns);
+    };
+    std::printf("%-12s %9llu %10llu %10llu %9.1f%% %10.1f%%    %4.0f%% %4.0f%% %4.0f%%\n",
                 w.name.c_str(),
                 static_cast<unsigned long long>(s.peak_conflict_set),
                 static_cast<unsigned long long>(s.total_firings),
                 static_cast<unsigned long long>(s.total_redactions),
-                100.0 * frac, redact_share);
+                100.0 * frac, redact_share, of_redact(s.meta_reify_ns),
+                of_redact(s.meta_match_ns), of_redact(s.meta_query_ns));
     json.add_run(w.name, s,
                  {{"redacted_frac", frac}, {"redact_share_pct", redact_share}});
   }

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "distrib/checkpoint.hpp"
+#include "meta/meta_engine.hpp"
 #include "obs/report.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -68,10 +69,12 @@ struct DistributedEngine::Site {
 
   explicit Site(const Program& program)
       : wm(std::make_unique<WorkingMemory>(program.schema)),
-        matcher(make_matcher(MatcherKind::Treat, program)) {}
+        matcher(make_matcher(MatcherKind::Treat, program)),
+        meta(program) {}
 
   std::unique_ptr<WorkingMemory> wm;
   std::unique_ptr<Matcher> matcher;
+  MetaEngine meta;  ///< per site: sites run concurrently on the pool
   std::vector<Message> inbox;
   std::vector<PendingOps> pending;  ///< this cycle's buffered firings
   std::uint64_t firings = 0;
@@ -93,8 +96,7 @@ DistributedEngine::DistributedEngine(const Program& program,
                                      DistConfig config)
     : program_(program),
       scheme_(std::move(scheme)),
-      config_(config),
-      meta_(program) {
+      config_(config) {
   if (config_.sites == 0) config_.sites = 1;
   if (config_.strict_partitioning) {
     const auto offending = scheme_.validate(program_);
@@ -477,18 +479,9 @@ bool DistributedEngine::cycle(DistStats& stats) {
           const std::vector<InstId> eligible = cs.alive_ids();
           if (eligible.empty()) return;
 
-          std::vector<InstId> to_fire;
-          if (meta_.active()) {
-            const MetaOutcome outcome =
-                meta_.run(*site->wm, cs, eligible, nullptr);
-            site->redactions_this_cycle = outcome.redacted.size();
-            std::set_difference(eligible.begin(), eligible.end(),
-                                outcome.redacted.begin(),
-                                outcome.redacted.end(),
-                                std::back_inserter(to_fire));
-          } else {
-            to_fire = eligible;
-          }
+          const MetaOutcome outcome = site->meta.run(*site->wm, cs, eligible);
+          site->redactions_this_cycle = outcome.redacted.size();
+          const std::vector<InstId>& to_fire = outcome.to_fire;
           if (to_fire.empty()) return;
 
           site->work_done_this_cycle = true;

@@ -42,7 +42,6 @@
 #include "distrib/partition.hpp"
 #include "engine/actions.hpp"
 #include "engine/engine.hpp"
-#include "meta/meta_engine.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace parulel {
@@ -132,7 +131,6 @@ class DistributedEngine {
   PartitionScheme scheme_;
   DistConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  MetaEngine meta_;
   std::vector<std::unique_ptr<Site>> sites_;
   bool halted_ = false;
 

@@ -663,15 +663,7 @@ void SiteRunner::run_cycle(std::uint64_t cycle) {
   ConflictSet& cs = matcher_->conflict_set();
   const std::vector<InstId> eligible = cs.alive_ids();
   if (!eligible.empty()) {
-    std::vector<InstId> to_fire;
-    if (meta_.active()) {
-      const MetaOutcome outcome = meta_.run(*wm_, cs, eligible, nullptr);
-      std::set_difference(eligible.begin(), eligible.end(),
-                          outcome.redacted.begin(), outcome.redacted.end(),
-                          std::back_inserter(to_fire));
-    } else {
-      to_fire = eligible;
-    }
+    const std::vector<InstId> to_fire = meta_.run(*wm_, cs, eligible).to_fire;
     pending.resize(to_fire.size());
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
       fire_buffered(program_, cs.get(to_fire[i]), *wm_, pending[i]);

@@ -78,26 +78,19 @@ bool ParallelEngine::step(RunStats& stats) {
     });
   }
 
-  // Phase 2: meta-rule redaction.
-  std::vector<InstId> to_fire;
-  {
-    ScopedAccumulator t(cycle.redact_ns);
-    if (meta_.active()) {
-      const MetaOutcome outcome =
-          meta_.run(wm_, cs, eligible, config_.output, config_.metrics);
-      cycle.redacted = outcome.redacted.size();
-      cycle.meta_rounds = outcome.rounds;
-      cycle.meta_firings = outcome.meta_firings;
-      cycle.meta_witnesses = outcome.witnesses;
-      // eligible and outcome.redacted are both ascending: set-difference.
-      to_fire.reserve(eligible.size() - outcome.redacted.size());
-      std::set_difference(eligible.begin(), eligible.end(),
-                          outcome.redacted.begin(), outcome.redacted.end(),
-                          std::back_inserter(to_fire));
-    } else {
-      to_fire = eligible;
-    }
-  }
+  // Phase 2: meta-rule redaction. Its parts are laps of one clock, so
+  // they sum to redact_ns exactly.
+  MetaOutcome outcome =
+      meta_.run(wm_, cs, eligible, config_.output, config_.metrics);
+  cycle.redacted = outcome.redacted.size();
+  cycle.meta_rounds = outcome.rounds;
+  cycle.meta_firings = outcome.meta_firings;
+  cycle.meta_witnesses = outcome.witnesses;
+  cycle.meta_reify_ns = outcome.reify_ns;
+  cycle.meta_match_ns = outcome.match_ns;
+  cycle.meta_query_ns = outcome.query_ns;
+  cycle.redact_ns = outcome.redact_ns();
+  const std::vector<InstId> to_fire = std::move(outcome.to_fire);
   if (to_fire.empty()) {
     // Everything was redacted: the system is stalled by its own
     // meta-program — that is quiescence under PARULEL semantics.

@@ -75,6 +75,15 @@ void AlphaMemory::erase(const FactView& fact) {
   }
 }
 
+void AlphaMemory::clear() {
+  for (const FactRow row : rows_) pos_[row] = kNotMember;
+  rows_.clear();
+  for (auto& index : indexes_) {
+    index.map.clear();
+    index.canon_pure.clear();
+  }
+}
+
 void AlphaMemory::probe(int index_handle, std::span<const Value> key_values,
                         std::vector<FactRow>& out) const {
   probe_hash(index_handle, join_key_hash(key_values), out);
@@ -108,6 +117,10 @@ void AlphaStore::on_retract(const FactView& fact) {
   for (std::uint32_t a : by_template_[fact.tmpl()]) {
     if (specs_[a].accepts(fact)) memories_[a].erase(fact);
   }
+}
+
+void AlphaStore::clear() {
+  for (auto& memory : memories_) memory.clear();
 }
 
 }  // namespace parulel

@@ -52,6 +52,10 @@ class AlphaMemory {
   void insert(const FactView& fact);
   void erase(const FactView& fact);
 
+  /// Drop every row, keeping the registered indexes and all capacity.
+  /// O(rows held + index groups created since the last clear).
+  void clear();
+
   bool contains(FactRow row) const {
     return row < pos_.size() && pos_[row] != kNotMember;
   }
@@ -159,6 +163,9 @@ class AlphaStore {
   /// Route a fact into / out of every accepting memory.
   void on_assert(const FactView& fact);
   void on_retract(const FactView& fact);
+
+  /// Empty every memory (AlphaMemory::clear).
+  void clear();
 
  private:
   std::vector<AlphaSpec> specs_;

@@ -18,16 +18,15 @@ InstId ConflictSet::add(Instantiation inst) {
   inst.id = id;
   key_group.push_back(id);
   for (FactId f : inst.facts) by_fact_.group_for(f).push_back(id);
-  if (inst.rule >= by_rule_.size()) by_rule_.resize(inst.rule + 1);
-  by_rule_[inst.rule].push_back(id);
   insts_.push_back(std::move(inst));
-  alive_.push_back(true);
+  alive_.push_back(1);
   ++alive_count_;
+  listed_.push_back(id);
   return id;
 }
 
 void ConflictSet::remove(InstId id) {
-  if (id >= insts_.size() || !alive_[id]) return;
+  if (!alive(id)) return;
   if (auto* g = by_key_.find(insts_[id].key_hash())) {
     g->erase(std::find(g->begin(), g->end(), id));
   }
@@ -35,7 +34,7 @@ void ConflictSet::remove(InstId id) {
 }
 
 void ConflictSet::retire(InstId id) {
-  alive_[id] = false;
+  alive_[id] = 0;
   --alive_count_;
   for (FactId f : insts_[id].facts) {
     // A fact can appear twice in one instantiation (self-joins); the
@@ -43,7 +42,11 @@ void ConflictSet::retire(InstId id) {
     auto* g = by_fact_.find(f);
     g->erase(std::find(g->begin(), g->end(), id));
   }
-  // by_rule_ entries are purged lazily in of_rule().
+  // Purge once the retired ids in the list outnumber the alive ones:
+  // the purge is O(listed) <= O(2 x retired), paid once per batch.
+  if (listed_.size() - alive_count_ > alive_count_) {
+    std::erase_if(listed_, [this](InstId i) { return alive_[i] == 0; });
+  }
 }
 
 InstId ConflictSet::find_key(const Instantiation& probe) const {
@@ -67,8 +70,8 @@ void ConflictSet::remove_by_fact(FactId fact,
   // Collect first: remove() mutates by_fact_.
   const auto* g = by_fact_.find(fact);
   if (!g) return;
-  scratch_rule_.assign(g->begin(), g->end());
-  for (InstId id : scratch_rule_) {
+  scratch_.assign(g->begin(), g->end());
+  for (InstId id : scratch_) {
     // Self-join duplicates appear once per occurrence; the first
     // removal kills the id, later ones no-op in remove().
     remove(id);
@@ -77,18 +80,23 @@ void ConflictSet::remove_by_fact(FactId fact,
 }
 
 void ConflictSet::mark_fired(InstId id) {
-  assert(id < insts_.size() && alive_[id]);
+  assert(alive(id));
   retire(id);
+}
+
+void ConflictSet::clear() {
+  insts_.clear();
+  alive_.clear();
+  alive_count_ = 0;
+  listed_.clear();
+  by_key_.clear();
+  by_fact_.clear();
 }
 
 bool ConflictSet::has_fired(const Instantiation& inst) const {
   // A key entry that is not alive can only be a fired one.
   const InstId id = find_key(inst);
   return id != kInvalidInst && !alive_[id];
-}
-
-bool ConflictSet::alive(InstId id) const {
-  return id < insts_.size() && alive_[id];
 }
 
 const Instantiation& ConflictSet::get(InstId id) const {
@@ -98,18 +106,15 @@ const Instantiation& ConflictSet::get(InstId id) const {
 
 void ConflictSet::for_each(
     const std::function<void(const Instantiation&)>& fn) const {
-  for (std::size_t i = 0; i < insts_.size(); ++i) {
-    if (alive_[i]) fn(insts_[i]);
+  for (const InstId id : listed_) {
+    if (alive_[id]) fn(insts_[id]);
   }
 }
 
 std::vector<InstId> ConflictSet::of_rule(RuleId rule) const {
   std::vector<InstId> out;
-  if (rule < by_rule_.size()) {
-    for (InstId id : by_rule_[rule]) {
-      if (alive_[id]) out.push_back(id);
-    }
-    std::sort(out.begin(), out.end());
+  for (const InstId id : listed_) {
+    if (alive_[id] && insts_[id].rule == rule) out.push_back(id);
   }
   return out;
 }
@@ -117,8 +122,8 @@ std::vector<InstId> ConflictSet::of_rule(RuleId rule) const {
 std::vector<InstId> ConflictSet::alive_ids() const {
   std::vector<InstId> out;
   out.reserve(alive_count_);
-  for (std::size_t i = 0; i < insts_.size(); ++i) {
-    if (alive_[i]) out.push_back(static_cast<InstId>(i));
+  for (const InstId id : listed_) {
+    if (alive_[id]) out.push_back(id);
   }
   return out;
 }

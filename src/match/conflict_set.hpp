@@ -5,6 +5,15 @@
 // its fact postings go), so the duplicate check in add() rejects its
 // re-addition too and looping on unchanged matches is impossible (OPS5
 // refraction, which PARULEL keeps).
+//
+// The alive set is kept as a list of ascending ids. Ids are assigned in
+// ascending order, so add() appends; a retired id stays listed until
+// retired ids outnumber the alive ones, then one purge drops them all.
+// alive_ids(), of_rule() and for_each() therefore cost O(alive + retired
+// since the last purge), not O(every instantiation ever added) — the
+// engines take alive_ids() once per cycle, and a service session's
+// conflict set lives for the whole session. Purging happens only in the
+// mutating calls, so the const readers never write.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +47,16 @@ class ConflictSet {
   /// fact postings but keeps its key entry, which refracts it.
   void mark_fired(InstId id);
 
+  /// Forget everything, refraction memory included: the set returns to
+  /// its just-constructed state and ids restart at 0. Capacity is kept.
+  void clear();
+
   /// Would this key be rejected by refraction?
   bool has_fired(const Instantiation& inst) const;
 
-  bool alive(InstId id) const;
+  bool alive(InstId id) const {
+    return id < alive_.size() && alive_[id] != 0;
+  }
   const Instantiation& get(InstId id) const;
 
   std::size_t size() const { return alive_count_; }
@@ -56,7 +71,8 @@ class ConflictSet {
   /// Snapshot of alive ids in ascending order.
   std::vector<InstId> alive_ids() const;
 
-  /// Total instantiations ever added (ids are [0, high_water)).
+  /// Instantiations added since construction or the last clear() (ids
+  /// are [0, high_water)).
   InstId high_water() const { return static_cast<InstId>(insts_.size()); }
 
  private:
@@ -70,17 +86,18 @@ class ConflictSet {
 
   // Dense storage; dead entries keep their slot (ids stay stable).
   std::vector<Instantiation> insts_;
-  std::vector<bool> alive_;
+  std::vector<std::uint8_t> alive_;
   std::size_t alive_count_ = 0;
+  /// Every alive id, ascending, plus the ids retired since the last
+  /// purge (see the header comment).
+  std::vector<InstId> listed_;
 
   // Structural key -> alive or fired inst (bucket by hash, verify by
   // same_key). Plainly removed insts leave; fired ones stay (refraction).
   FlatGroupMap<InstId> by_key_;
   // fact -> alive inst ids containing it.
   FlatGroupMap<InstId> by_fact_;
-  // rule -> alive inst ids (lazily compacted).
-  std::vector<std::vector<InstId>> by_rule_;
-  mutable std::vector<InstId> scratch_rule_;
+  std::vector<InstId> scratch_;  ///< remove_by_fact's copy of a posting
 };
 
 }  // namespace parulel

@@ -61,6 +61,16 @@ class QuantIndex {
     }
   }
 
+  /// Drop every entry. Maps that were never filled are skipped, so a
+  /// rule level without quantified enumerated rules clears in O(rules).
+  void clear() {
+    for (auto& per_rule : maps_) {
+      for (auto& map : per_rule) {
+        if (!map.empty()) map.clear();
+      }
+    }
+  }
+
   std::size_t entries() const {
     std::size_t total = 0;
     for (const auto& per_rule : maps_) {

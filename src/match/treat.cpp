@@ -134,6 +134,13 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
   stats_.state_entries = cs_.size();
 }
 
+void TreatMatcher::clear() {
+  alphas_.clear();
+  cs_.clear();
+  quant_.clear();
+  stats_ = MatchStats{};
+}
+
 void TreatMatcher::derive_for_added(const WorkingMemory& wm,
                                     FactId delta_front, FactId fid,
                                     std::span<const std::uint32_t> hit) {

@@ -43,6 +43,17 @@ class TreatMatcher : public Matcher {
                std::size_t template_count);
 
   void apply_delta(const WorkingMemory& wm, const Delta& delta) override;
+
+  /// Return to the just-constructed state — empty alpha memories,
+  /// conflict set (refraction memory and key index included) and
+  /// quantified-CE index, zeroed stats — keeping the join plans, the
+  /// registered alpha indexes and all capacity. The next InstId is 0
+  /// again. For a matcher whose working memory was cleared too.
+  void clear();
+
+  /// Entries in the quantified-CE index (stale ones included).
+  std::size_t quant_entries() const { return quant_.entries(); }
+
   ConflictSet& conflict_set() override { return cs_; }
   const JoinEngine& join() const { return join_; }
   const MatchStats& stats() const override { return stats_; }

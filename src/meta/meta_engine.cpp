@@ -1,28 +1,60 @@
 #include "meta/meta_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "match/treat.hpp"
 #include "meta/reify.hpp"
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/timer.hpp"
 
 namespace parulel {
+
+/// The meta level's working memory and matcher, plus the fixpoint's
+/// scratch buffers, reused by every run.
+struct MetaEngine::Workspace {
+  explicit Workspace(const Program& program)
+      : wm(program.meta_schema),
+        matcher(program.meta_rules, program.meta_alphas,
+                program.meta_schema.size()) {}
+
+  WorkingMemory wm;
+  TreatMatcher matcher;
+  std::vector<char> redacted;               ///< by eligible position
+  std::vector<std::size_t> newly_redacted;  ///< positions, this round
+  JoinScratch scratch;
+  std::vector<Value> env;
+};
+
+MetaEngine::MetaEngine(const Program& program) : program_(program) {}
+
+MetaEngine::~MetaEngine() = default;
 
 MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
                             const ConflictSet& cs,
                             const std::vector<InstId>& eligible,
                             std::ostream* output,
-                            obs::MetricsRegistry* metrics) const {
+                            obs::MetricsRegistry* metrics) {
   MetaOutcome outcome;
   (void)metrics;  // referenced only when PARULEL_OBS_ENABLED
-  if (!active() || eligible.empty()) return outcome;
+  LapTimer clock;
+  if (program_.meta_rules.empty() || eligible.empty()) {
+    outcome.to_fire = eligible;
+    clock.lap(outcome.query_ns);
+    return outcome;
+  }
 
-  WorkingMemory meta_wm(program_.meta_schema);
+  if (!ws_) ws_ = std::make_unique<Workspace>(program_);
+  WorkingMemory& meta_wm = ws_->wm;
+  TreatMatcher& matcher = ws_->matcher;
+  meta_wm.clear();
+  matcher.clear();
   // meta_facts[k] is the meta fact of eligible[k]; per-cycle state below
   // is indexed by that position k.
   const std::vector<FactId> meta_facts =
       reify_conflict_set(program_, object_wm, cs, eligible, meta_wm);
+  clock.lap(outcome.reify_ns);
   auto position_of = [&](InstId id) {
     return static_cast<std::size_t>(
         std::lower_bound(eligible.begin(), eligible.end(), id) -
@@ -37,22 +69,23 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
     if (!mrule.existential() || !mrule.negatives.empty()) one_round = false;
   }
 
-  TreatMatcher matcher(program_.meta_rules, program_.meta_alphas,
-                       program_.meta_schema.size());
   const JoinEngine& join = matcher.join();
-  std::vector<char> redacted(eligible.size(), 0);
-  std::vector<std::size_t> newly_redacted;  // positions, this round
+  std::vector<char>& redacted = ws_->redacted;
+  std::vector<std::size_t>& newly_redacted = ws_->newly_redacted;
+  redacted.assign(eligible.size(), 0);
   auto redact = [&](std::size_t pos) {
     if (redacted[pos]) return;
     redacted[pos] = 1;
     newly_redacted.push_back(pos);
   };
-  JoinScratch scratch;
-  std::vector<Value> env;
+  JoinScratch& scratch = ws_->scratch;
+  std::vector<Value>& env = ws_->env;
 
   for (;;) {
     ++outcome.rounds;
+    clock.lap(outcome.query_ns);
     matcher.apply_delta(meta_wm, meta_wm.drain_delta());
+    clock.lap(outcome.match_ns);
     ConflictSet& meta_cs = matcher.conflict_set();
     const std::vector<InstId> to_fire = meta_cs.alive_ids();
     newly_redacted.clear();
@@ -144,12 +177,17 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
   }
 
   std::sort(outcome.redacted.begin(), outcome.redacted.end());
+  outcome.to_fire.reserve(eligible.size() - outcome.redacted.size());
+  std::set_difference(eligible.begin(), eligible.end(),
+                      outcome.redacted.begin(), outcome.redacted.end(),
+                      std::back_inserter(outcome.to_fire));
   PARULEL_OBS_ONLY(if (metrics) {
     metrics->add("meta.rounds", outcome.rounds);
     metrics->add("meta.firings", outcome.meta_firings);
     metrics->add("meta.witnesses", outcome.witnesses);
     metrics->add("meta.redactions", outcome.redacted.size());
   })
+  clock.lap(outcome.query_ns);
   return outcome;
 }
 

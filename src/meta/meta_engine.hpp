@@ -15,6 +15,17 @@
 // The round's redactions then retract the reified facts, which can
 // enable (through (not ...)) or disable further meta matches.
 //
+// The workspace — meta working memory and meta TreatMatcher — is built
+// on the first run and kept for the engine's lifetime. Each run clears
+// it (WorkingMemory::clear, TreatMatcher::clear) instead of rebuilding
+// it, so a cycle pays for its own eligible set and not for growing
+// columns, arenas, hash tables and alpha indexes from empty. Meta fact
+// ids restart at 1 and meta InstIds at 0 on every run, exactly as a
+// fresh workspace numbers them, so every meta match, its enumeration
+// order and every printout are those of a fresh workspace. Because the
+// workspace is mutable state, run() is not const and one MetaEngine
+// serves one engine or site at a time.
+//
 // Termination: a redacted instantiation's meta fact is withdrawn and
 // never re-asserted within the fixpoint, and meta-level refraction stops
 // repeat firings, so the redacted set grows monotonically and the loop
@@ -24,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -39,19 +51,27 @@ class MetricsRegistry;
 
 struct MetaOutcome {
   std::vector<InstId> redacted;     ///< object-level instantiation ids
+  /// eligible minus redacted, ascending: what fires this cycle.
+  std::vector<InstId> to_fire;
   std::uint64_t meta_firings = 0;   ///< enumerated meta instantiations fired
   std::uint64_t witnesses = 0;      ///< redactions found by existential query
   std::uint64_t rounds = 0;
+
+  // Where the run's time went: consecutive laps of one clock from entry
+  // to return, so the three sum exactly to redact_ns().
+  std::uint64_t reify_ns = 0;  ///< workspace clear + reification
+  std::uint64_t match_ns = 0;  ///< meta apply_delta, every round
+  std::uint64_t query_ns = 0;  ///< passes 1-2, retraction, to_fire
+  std::uint64_t redact_ns() const { return reify_ns + match_ns + query_ns; }
 };
 
 class MetaEngine {
  public:
-  explicit MetaEngine(const Program& program) : program_(program) {}
-
-  /// True when the program has meta rules at all.
-  bool active() const { return !program_.meta_rules.empty(); }
+  explicit MetaEngine(const Program& program);
+  ~MetaEngine();
 
   /// Run the redaction fixpoint over `eligible` (ascending InstIds).
+  /// Without meta rules, everything eligible fires.
   /// `output`, when non-null, receives meta-rule printout text.
   /// `metrics`, when non-null, accumulates meta.rounds / meta.firings /
   /// meta.witnesses / meta.redactions counters across fixpoints (obs
@@ -59,10 +79,13 @@ class MetaEngine {
   MetaOutcome run(const WorkingMemory& object_wm, const ConflictSet& cs,
                   const std::vector<InstId>& eligible,
                   std::ostream* output = nullptr,
-                  obs::MetricsRegistry* metrics = nullptr) const;
+                  obs::MetricsRegistry* metrics = nullptr);
 
  private:
+  struct Workspace;
+
   const Program& program_;
+  std::unique_ptr<Workspace> ws_;  ///< built by the first active run
 };
 
 }  // namespace parulel

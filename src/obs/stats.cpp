@@ -33,6 +33,9 @@ void RunStats::absorb(const CycleStats& c) {
   redact_ns += c.redact_ns;
   fire_ns += c.fire_ns;
   merge_ns += c.merge_ns;
+  meta_reify_ns += c.meta_reify_ns;
+  meta_match_ns += c.meta_match_ns;
+  meta_query_ns += c.meta_query_ns;
 }
 
 std::string RunStats::summary() const {
@@ -184,6 +187,9 @@ constexpr FieldDef<CycleStats> kCycleFields[] = {
     {"redact_ns", &CycleStats::redact_ns},
     {"fire_ns", &CycleStats::fire_ns},
     {"merge_ns", &CycleStats::merge_ns},
+    {"meta_reify_ns", &CycleStats::meta_reify_ns},
+    {"meta_match_ns", &CycleStats::meta_match_ns},
+    {"meta_query_ns", &CycleStats::meta_query_ns},
 };
 
 constexpr FieldDef<RunStats> kRunFields[] = {
@@ -202,6 +208,9 @@ constexpr FieldDef<RunStats> kRunFields[] = {
     {"redact_ns", &RunStats::redact_ns},
     {"fire_ns", &RunStats::fire_ns},
     {"merge_ns", &RunStats::merge_ns},
+    {"meta_reify_ns", &RunStats::meta_reify_ns},
+    {"meta_match_ns", &RunStats::meta_match_ns},
+    {"meta_query_ns", &RunStats::meta_query_ns},
 };
 
 constexpr FieldDef<FaultStats> kFaultFields[] = {

@@ -64,6 +64,12 @@ struct CycleStats {
   std::uint64_t fire_ns = 0;
   std::uint64_t merge_ns = 0;
 
+  // redact_ns split into consecutive laps of one clock (MetaOutcome):
+  // meta_reify_ns + meta_match_ns + meta_query_ns == redact_ns.
+  std::uint64_t meta_reify_ns = 0;  ///< workspace clear + reification
+  std::uint64_t meta_match_ns = 0;  ///< meta apply_delta, every round
+  std::uint64_t meta_query_ns = 0;  ///< witness queries, firing, set-diff
+
   std::uint64_t total_ns() const {
     return match_ns + redact_ns + fire_ns + merge_ns;
   }
@@ -90,6 +96,9 @@ struct RunStats {
   std::uint64_t redact_ns = 0;
   std::uint64_t fire_ns = 0;
   std::uint64_t merge_ns = 0;
+  std::uint64_t meta_reify_ns = 0;  ///< sums of the CycleStats split
+  std::uint64_t meta_match_ns = 0;
+  std::uint64_t meta_query_ns = 0;
 
   std::vector<CycleStats> per_cycle;  ///< populated when tracing is enabled
 

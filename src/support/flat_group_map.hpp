@@ -11,11 +11,18 @@
 // steady-state churn (erase + re-insert of the same keys) allocates
 // nothing.
 //
+// clear() empties the map and keeps every allocation — the table, the
+// group objects and their spilled storage — so a map rebuilt each cycle
+// (the meta working memory's) stops allocating once it has seen its
+// largest cycle. It costs one zeroing pass over the control array (4
+// bytes a slot) plus O(groups), and adds nothing to maps never cleared.
+//
 // Determinism: iteration within a group is insertion order, so every
 // consumer enumerates candidates in the same order on every run and in
 // every matcher — the property the engines' bit-determinism rests on.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,8 +46,8 @@ class FlatGroupMap {
   }
 
   /// Group id for `key`, created if absent. Ids are dense, assigned in
-  /// creation order, and stable for the map's lifetime (groups are
-  /// never deleted), so callers can keep per-group metadata in a
+  /// creation order, and stable until clear() (groups are never
+  /// deleted one by one), so callers can keep per-group metadata in a
   /// parallel array — see AlphaMemory's canonical-key cache.
   std::size_t group_id_for(std::size_t key) {
     if (ctrl_.empty()) {
@@ -55,11 +62,19 @@ class FlatGroupMap {
       if (keys_[i] == key) return ctrl_[i] - 1;
       i = (i + 1) & mask;
     }
-    groups_.emplace_back();
-    ++distinct_;
-    ctrl_[i] = static_cast<std::uint32_t>(groups_.size());
+    // Reuse a group object a clear() left behind before growing.
+    if (distinct_ == groups_.size()) groups_.emplace_back();
+    ctrl_[i] = static_cast<std::uint32_t>(++distinct_);
     keys_[i] = key;
-    return groups_.size() - 1;
+    return distinct_ - 1;
+  }
+
+  /// Remove every key and group. Group ids restart at 0.
+  void clear() {
+    if (distinct_ == 0) return;
+    std::fill(ctrl_.begin(), ctrl_.end(), 0);
+    for (std::size_t g = 0; g < distinct_; ++g) groups_[g].clear();
+    distinct_ = 0;
   }
 
   /// Group id for `key`, or npos when none was ever created.
@@ -115,6 +130,8 @@ class FlatGroupMap {
 
   std::vector<std::size_t> keys_;
   std::vector<std::uint32_t> ctrl_;  ///< group id + 1; 0 = empty slot
+  /// groups_[0, distinct_) are live; later ones are cleared leftovers
+  /// kept for their storage.
   std::vector<Group> groups_;
   std::size_t distinct_ = 0;
 };

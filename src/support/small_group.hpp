@@ -52,6 +52,13 @@ class SmallGroup {
     }
   }
 
+  /// Empty the group. A spilled group keeps its heap capacity, so a
+  /// group refilled after clear() allocates no more than it did.
+  void clear() {
+    size_ = 0;
+    spill_.clear();
+  }
+
   /// Ordered erase (later elements shift down), preserving insertion
   /// order among the survivors.
   void erase(iterator it) {

@@ -29,6 +29,27 @@ class Timer {
   Clock::time_point start_;
 };
 
+/// Splits one interval into consecutive laps of one clock: lap(sink)
+/// adds the time since the previous lap (or construction) to `sink`.
+/// No instant falls between two laps, so the sinks sum exactly to the
+/// time from construction to the last lap.
+class LapTimer {
+ public:
+  LapTimer() : last_(Clock::now()) {}
+
+  void lap(std::uint64_t& sink) {
+    const Clock::time_point now = Clock::now();
+    sink += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+            .count());
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point last_;
+};
+
 /// Accumulates elapsed time of a phase into a counter on destruction.
 class ScopedAccumulator {
  public:

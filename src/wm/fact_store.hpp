@@ -116,6 +116,20 @@ class FactStore {
     row_of_.push_back(kNoFactRow);
   }
 
+  /// Drop every row and id; the next append() takes id 1 and row 0.
+  /// Column capacity is kept.
+  void clear() {
+    id_.clear();
+    tmpl_.clear();
+    chash_.clear();
+    alive_.clear();
+    slot_begin_.resize(1);
+    kind_pool_.clear();
+    payload_pool_.clear();
+    hash_pool_.clear();
+    row_of_.clear();
+  }
+
   void set_alive(FactRow row, bool alive) {
     alive_[row] = alive ? 1 : 0;
   }

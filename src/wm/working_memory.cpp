@@ -31,6 +31,18 @@ WorkingMemory::WorkingMemory(const Schema& schema) : schema_(schema) {
   extents_.resize(schema.size());
 }
 
+void WorkingMemory::clear() {
+  store_.clear();
+  for (auto& extent : extents_) extent.clear();
+  extent_pos_.clear();
+  content_index_.clear();
+  next_id_ = 1;
+  drain_floor_ = 0;
+  alive_count_ = 0;
+  fingerprint_ = kFingerprintSeed;
+  pending_.clear();
+}
+
 FactId WorkingMemory::assert_fact(TemplateId tmpl, std::vector<Value> slots) {
   assert(tmpl < schema_.size());
   if (static_cast<int>(slots.size()) != schema_.at(tmpl).arity()) {

@@ -52,6 +52,13 @@ class WorkingMemory {
   /// fact with identical content absorbed it (set semantics).
   FactId assert_fact(TemplateId tmpl, std::vector<Value> slots);
 
+  /// Empty the store back to its just-constructed state: no facts, no
+  /// pending delta, ids restarting at 1. Capacity is kept, and the cost
+  /// is O(facts asserted since the last clear) — the meta level reuses
+  /// one store across cycles this way (meta/meta_engine.hpp). Views and
+  /// ids handed out before the clear are invalid after it.
+  void clear();
+
   /// Retract by id. Returns false when the id is unknown or already dead.
   bool retract(FactId id);
 

@@ -7,6 +7,10 @@
 // and collects the redactions, and the round's redacted meta facts are
 // retracted before the next round. Its redaction set is the
 // specification MetaEngine::run must reproduce on every cycle.
+//
+// The by-hand run also checks workspace reuse: MetaEngine keeps its meta
+// working memory and matcher across runs, and a long-lived one must
+// answer every cycle exactly as a freshly constructed one does.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,9 +18,12 @@
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "engine/actions.hpp"
+#include "engine/engine.hpp"
 #include "match/treat.hpp"
 #include "meta/meta_engine.hpp"
 #include "meta/reify.hpp"
@@ -79,37 +86,58 @@ inline std::vector<InstId> reference_redactions(
   return out;
 }
 
+/// What a by-hand run of a program did, cycle by cycle.
+struct MetaDrive {
+  std::uint64_t redactions = 0;
+  std::vector<std::uint64_t> redacted_per_cycle;
+  std::vector<FiringRecord> firings;  ///< as ParallelEngine logs them
+  std::string output;                 ///< meta and object printout text
+};
+
 /// Drive `program` by hand (object-level TREAT, fire every surviving
 /// instantiation in ascending id, as ParallelEngine's merge does) for
-/// up to `max_cycles`, and on every cycle expect MetaEngine::run's
-/// redaction set to equal reference_redactions(). Returns the total
-/// number of redactions seen, so callers can check the case is not
-/// vacuous.
-inline std::uint64_t expect_meta_matches_reference(const Program& program,
-                                                   int max_cycles) {
+/// up to `max_cycles`. One MetaEngine lives through every cycle, so its
+/// workspace is reused; on every cycle expect its outcome to equal a
+/// freshly constructed MetaEngine's (redacted, to_fire, rounds, meta
+/// firings, witnesses, printout text) and its redaction set to equal
+/// reference_redactions().
+inline MetaDrive drive_meta_against_reference(const Program& program,
+                                              int max_cycles) {
+  MetaDrive drive;
+  std::ostringstream out;
   WorkingMemory wm(program.schema);
   TreatMatcher matcher(program.rules, program.alphas, program.schema.size());
   for (const auto& fact : program.initial_facts) {
     wm.assert_fact(fact.tmpl, fact.slots);
   }
-  const MetaEngine meta(program);
-  std::uint64_t redactions = 0;
+  MetaEngine meta(program);
   for (int cycle = 0; cycle < max_cycles; ++cycle) {
     matcher.apply_delta(wm, wm.drain_delta());
     ConflictSet& cs = matcher.conflict_set();
     const std::vector<InstId> eligible = cs.alive_ids();
     if (eligible.empty()) break;
-    const MetaOutcome outcome = meta.run(wm, cs, eligible);
+    std::ostringstream meta_text, fresh_text;
+    const MetaOutcome outcome = meta.run(wm, cs, eligible, &meta_text);
+    const MetaOutcome fresh =
+        MetaEngine(program).run(wm, cs, eligible, &fresh_text);
+    EXPECT_EQ(outcome.redacted, fresh.redacted) << "cycle " << cycle;
+    EXPECT_EQ(outcome.to_fire, fresh.to_fire) << "cycle " << cycle;
+    EXPECT_EQ(outcome.rounds, fresh.rounds) << "cycle " << cycle;
+    EXPECT_EQ(outcome.meta_firings, fresh.meta_firings) << "cycle " << cycle;
+    EXPECT_EQ(outcome.witnesses, fresh.witnesses) << "cycle " << cycle;
+    EXPECT_EQ(meta_text.str(), fresh_text.str()) << "cycle " << cycle;
     const std::vector<InstId> expected =
         reference_redactions(program, wm, cs, eligible);
     EXPECT_EQ(outcome.redacted, expected) << "cycle " << cycle;
-    if (outcome.redacted != expected) return redactions;
-    redactions += outcome.redacted.size();
+    if (::testing::Test::HasFailure()) return drive;
+    drive.redactions += outcome.redacted.size();
+    drive.redacted_per_cycle.push_back(outcome.redacted.size());
+    out << meta_text.str();
 
     std::vector<InstId> to_fire;
-    std::set_difference(eligible.begin(), eligible.end(),
-                        outcome.redacted.begin(), outcome.redacted.end(),
-                        std::back_inserter(to_fire));
+    std::set_difference(eligible.begin(), eligible.end(), expected.begin(),
+                        expected.end(), std::back_inserter(to_fire));
+    EXPECT_EQ(outcome.to_fire, to_fire) << "cycle " << cycle;
     if (to_fire.empty()) break;
     std::vector<PendingOps> pending(to_fire.size());
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
@@ -117,12 +145,23 @@ inline std::uint64_t expect_meta_matches_reference(const Program& program,
     }
     MergeResult merged;
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
+      const Instantiation& inst = cs.get(to_fire[i]);
+      drive.firings.push_back(
+          {static_cast<std::uint64_t>(cycle), inst.rule, inst.facts});
       cs.mark_fired(to_fire[i]);
-      apply_pending(pending[i], wm, nullptr, merged);
+      apply_pending(pending[i], wm, &out, merged);
     }
     if (merged.halt) break;
   }
-  return redactions;
+  drive.output = out.str();
+  return drive;
+}
+
+/// drive_meta_against_reference(), returning the total number of
+/// redactions seen so callers can check the case is not vacuous.
+inline std::uint64_t expect_meta_matches_reference(const Program& program,
+                                                   int max_cycles) {
+  return drive_meta_against_reference(program, max_cycles).redactions;
 }
 
 }  // namespace parulel::testing_meta

@@ -15,6 +15,7 @@
 #include "match/rete.hpp"
 #include "match/treat.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/rng.hpp"
 
 namespace parulel {
 namespace {
@@ -118,6 +119,80 @@ TEST(ConflictSet, AliveIdsAscending) {
   const auto ids = cs.alive_ids();
   EXPECT_EQ(ids.size(), 9u);
   for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
+}
+
+TEST(ConflictSet, ClearForgetsRefractionAndRestartsIds) {
+  ConflictSet cs;
+  const InstId a = cs.add(make_inst(0, {1, 2}));
+  cs.add(make_inst(1, {3}));
+  cs.mark_fired(a);
+  cs.clear();
+  EXPECT_EQ(cs.size(), 0u);
+  EXPECT_EQ(cs.high_water(), 0u);
+  EXPECT_TRUE(cs.alive_ids().empty());
+  EXPECT_FALSE(cs.has_fired(make_inst(0, {1, 2})));
+  // The fired key is no longer refracted, and ids start over.
+  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), 0u);
+  EXPECT_EQ(cs.add(make_inst(1, {3})), 1u);
+  EXPECT_EQ(cs.add(make_inst(1, {3})), kInvalidInst);
+  cs.remove_by_fact(3);
+  EXPECT_EQ(cs.alive_ids(), std::vector<InstId>{0});
+}
+
+// The alive list (ids retired since the last purge stay listed) must
+// answer every reader exactly as a scan of alive(id) over every id ever
+// issued does, through many purges and clears.
+TEST(ConflictSet, AliveListAgreesWithBruteForceScan) {
+  constexpr RuleId kRules = 4;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 2654435761u + 1);
+    ConflictSet cs;
+    auto random_inst = [&] {
+      std::vector<FactId> facts;
+      const auto n = 1 + rng.below(3);  // self-joins repeat a fact
+      for (std::uint64_t i = 0; i < n; ++i) facts.push_back(1 + rng.below(24));
+      return make_inst(static_cast<RuleId>(rng.below(kRules)),
+                       std::move(facts));
+    };
+    for (int op = 0; op < 1500; ++op) {
+      std::vector<InstId> alive;
+      for (InstId id = 0; id < cs.high_water(); ++id) {
+        if (cs.alive(id)) alive.push_back(id);
+      }
+      const auto roll = rng.below(100);
+      if (roll < 40) {
+        cs.add(random_inst());
+      } else if (roll < 55) {
+        cs.remove(rng.below(cs.high_water() + 1));
+      } else if (roll < 70) {
+        cs.remove_by_key(random_inst());
+      } else if (roll < 80) {
+        cs.remove_by_fact(1 + rng.below(24));
+      } else if (roll < 99) {
+        if (!alive.empty()) cs.mark_fired(alive[rng.below(alive.size())]);
+      } else {
+        cs.clear();
+      }
+
+      alive.clear();
+      for (InstId id = 0; id < cs.high_water(); ++id) {
+        if (cs.alive(id)) alive.push_back(id);
+      }
+      ASSERT_EQ(cs.alive_ids(), alive) << "op " << op;
+      ASSERT_EQ(cs.size(), alive.size());
+      std::vector<InstId> visited;
+      cs.for_each([&](const Instantiation& inst) { visited.push_back(inst.id); });
+      ASSERT_EQ(visited, alive);
+      for (RuleId r = 0; r < kRules; ++r) {
+        std::vector<InstId> of_rule;
+        for (InstId id : alive) {
+          if (cs.get(id).rule == r) of_rule.push_back(id);
+        }
+        ASSERT_EQ(cs.of_rule(r), of_rule) << "rule " << r;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- matchers
@@ -509,6 +584,79 @@ TEST_P(MatcherTest, StatsCountDerivations) {
     (deffacts f (item (v 1)) (item (v 2))))");
   EXPECT_EQ(matcher_->stats().insts_derived, 2u);
   EXPECT_GE(matcher_->stats().deltas_processed, 1u);
+}
+
+// A cleared TreatMatcher over a cleared working memory must replay a
+// script exactly as a fresh pair does: same InstIds, same instantiations,
+// same counters, same quantified-CE index — the meta level reuses one
+// matcher across cycles on this promise.
+TEST(TreatClear, ReplaysLikeAFreshMatcher) {
+  const Program p = parse_program(R"(
+    (deftemplate a (slot k) (slot v))
+    (deftemplate b (slot k))
+    (deftemplate c (slot k))
+    (defrule join (a (k ?k) (v ?v)) (b (k ?k)) (not (c (k ?k))) => (halt))
+    (defrule self (a (k ?k) (v ?x)) (a (k ?k) (v ?y)) (test (< ?x ?y))
+                  => (halt))
+    (defrule seen (b (k ?k)) (exists (c (k ?k))) => (halt)))");
+  auto tmpl = [&](const char* name) {
+    return *p.schema.find(p.symbols->intern(name));
+  };
+  struct Snapshot {
+    std::vector<std::pair<InstId, std::vector<FactId>>> cs;
+    std::uint64_t derived, invalidated, rejects, rematches;
+    std::size_t quant;
+    bool operator==(const Snapshot&) const = default;
+  };
+  // Three deltas: a burst, retractions that unblock and disable, more.
+  auto script = [&](WorkingMemory& wm, TreatMatcher& m) {
+    std::vector<Snapshot> out;
+    auto step = [&] {
+      m.apply_delta(wm, wm.drain_delta());
+      Snapshot snap{{}, m.stats().insts_derived, m.stats().insts_invalidated,
+                    m.stats().derive_rejects, m.stats().full_rematches,
+                    m.quant_entries()};
+      m.conflict_set().for_each([&](const Instantiation& inst) {
+        snap.cs.emplace_back(inst.id, inst.facts);
+      });
+      out.push_back(std::move(snap));
+    };
+    std::vector<FactId> cs_facts;
+    for (std::int64_t k = 0; k < 6; ++k) {
+      for (std::int64_t v = 0; v < 3; ++v) {
+        wm.assert_fact(tmpl("a"), {Value::integer(k), Value::integer(v)});
+      }
+      wm.assert_fact(tmpl("b"), {Value::integer(k)});
+      if (k % 2 == 0) {
+        cs_facts.push_back(wm.assert_fact(tmpl("c"), {Value::integer(k)}));
+      }
+    }
+    step();
+    wm.retract(cs_facts[0]);
+    wm.retract(cs_facts[1]);
+    wm.assert_fact(tmpl("c"), {Value::integer(1)});
+    step();
+    m.conflict_set().mark_fired(m.conflict_set().alive_ids().front());
+    wm.assert_fact(tmpl("a"), {Value::integer(1), Value::integer(9)});
+    wm.assert_fact(tmpl("c"), {Value::integer(3)});
+    step();
+    return out;
+  };
+
+  WorkingMemory wm(p.schema);
+  TreatMatcher reused(p.rules, p.alphas, p.schema.size());
+  const std::vector<Snapshot> first = script(wm, reused);
+  ASSERT_GT(first.back().quant, 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    wm.clear();
+    reused.clear();
+    EXPECT_EQ(reused.quant_entries(), 0u);
+    EXPECT_EQ(reused.conflict_set().high_water(), 0u);
+    EXPECT_EQ(script(wm, reused), first) << "pass " << pass;
+  }
+  WorkingMemory fresh_wm(p.schema);
+  TreatMatcher fresh(p.rules, p.alphas, p.schema.size());
+  EXPECT_EQ(script(fresh_wm, fresh), first);
 }
 
 std::string matcher_case_name(

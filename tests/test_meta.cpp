@@ -1,6 +1,7 @@
 // Unit tests: reification and the meta-rule redaction fixpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -79,9 +80,10 @@ TEST_F(MetaTest, NoMetaRulesMeansInactive) {
     (defrule take (item (v ?x)) => (halt))
     (deffacts f (item (v 1))))");
   MetaEngine meta(program_);
-  EXPECT_FALSE(meta.active());
   const auto outcome = meta.run(*wm_, matcher_->conflict_set(), eligible());
   EXPECT_TRUE(outcome.redacted.empty());
+  EXPECT_EQ(outcome.to_fire, eligible());
+  EXPECT_EQ(outcome.rounds, 0u);
 }
 
 TEST_F(MetaTest, PairwiseRedactionKeepsLowestId) {
@@ -357,9 +359,54 @@ std::string book_with_orders() {
   return src.str();
 }
 
-void expect_workload_matches_reference(const std::string& source) {
+/// Drive `source` by hand, with one long-lived MetaEngine checked on
+/// every cycle against the reference and a fresh MetaEngine
+/// (meta_reference.hpp). Then run ParallelEngine at 1 and 4 threads:
+/// its firings, printout text and per-cycle redactions must be the
+/// by-hand run's, and its per-cycle meta counters equal at both thread
+/// counts. Returns the 1-thread run's stats.
+RunStats expect_workload_matches_reference(const std::string& source) {
   const Program p = parse_program(source);
-  EXPECT_GT(testing_meta::expect_meta_matches_reference(p, 10'000), 0u);
+  const testing_meta::MetaDrive drive =
+      testing_meta::drive_meta_against_reference(p, 10'000);
+  EXPECT_GT(drive.redactions, 0u);
+  std::vector<RunStats> runs;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<FiringRecord> log;
+    std::ostringstream out;
+    EngineConfig cfg;
+    cfg.matcher = MatcherKind::ParallelTreat;
+    cfg.threads = threads;
+    cfg.firing_log = &log;
+    cfg.output = &out;
+    cfg.trace_cycles = true;
+    ParallelEngine engine(p, cfg);
+    engine.assert_initial_facts();
+    runs.push_back(engine.run());
+    std::vector<std::uint64_t> redacted;
+    for (const CycleStats& c : runs.back().per_cycle) {
+      redacted.push_back(c.redacted);
+    }
+    EXPECT_EQ(redacted, drive.redacted_per_cycle);
+    EXPECT_EQ(log.size(), drive.firings.size());
+    for (std::size_t i = 0; i < std::min(log.size(), drive.firings.size());
+         ++i) {
+      EXPECT_EQ(log[i].cycle, drive.firings[i].cycle) << "firing " << i;
+      EXPECT_EQ(log[i].rule, drive.firings[i].rule) << "firing " << i;
+      EXPECT_EQ(log[i].facts, drive.firings[i].facts) << "firing " << i;
+    }
+    EXPECT_EQ(out.str(), drive.output);
+  }
+  const auto& one = runs[0].per_cycle;
+  const auto& four = runs[1].per_cycle;
+  EXPECT_EQ(one.size(), four.size());
+  for (std::size_t c = 0; c < std::min(one.size(), four.size()); ++c) {
+    EXPECT_EQ(one[c].meta_rounds, four[c].meta_rounds) << "cycle " << c;
+    EXPECT_EQ(one[c].meta_firings, four[c].meta_firings) << "cycle " << c;
+    EXPECT_EQ(one[c].meta_witnesses, four[c].meta_witnesses) << "cycle " << c;
+  }
+  return runs[0];
 }
 
 TEST(MetaReference, MannersRedactionsMatchEveryCycle) {
@@ -381,6 +428,58 @@ TEST(MetaReference, RoutingRedactionsMatchEveryCycle) {
 
 TEST(MetaReference, BookRedactionsMatchEveryCycle) {
   expect_workload_matches_reference(book_with_orders());
+}
+
+// An enumerated meta-rule (bind + printout) over several cycles: the
+// deferred jobs stay eligible, so every cycle reifies them again under
+// the same restarted meta fact ids, and the same meta instantiation
+// keys recur. A reused meta conflict set that kept last cycle's keys
+// would refract them.
+TEST(MetaReference, EnumeratedPrintoutRuleMatchesEveryCycle) {
+  const RunStats stats = expect_workload_matches_reference(R"(
+    (deftemplate job (slot id) (slot pri))
+    (deftemplate done (slot id))
+    (defrule work (job (id ?j) (pri ?p)) (not (done (id ?j)))
+      => (assert (done (id ?j))))
+    (defmetarule highest-first
+      (inst-work (id ?a) (p ?pa))
+      (inst-work (id ?b) (p ?pb))
+      (test (> ?pa ?pb))
+      =>
+      (bind ?gap (- ?pa ?pb))
+      (printout "defer " ?b " by " ?gap)
+      (redact ?b))
+    (deffacts jobs
+      (job (id 1) (pri 3)) (job (id 2) (pri 1)) (job (id 3) (pri 2))
+      (job (id 4) (pri 3)) (job (id 5) (pri 1)) (job (id 6) (pri 2))
+      (job (id 7) (pri 0))))");
+  EXPECT_EQ(stats.cycles, 4u);  // one priority level per cycle
+  EXPECT_GT(stats.total_meta_firings, stats.total_redactions);
+}
+
+// A (not ...) meta-rule whose target is enabled only once an earlier
+// round's redactions retract its blocker, over several cycles.
+TEST(MetaReference, NotCeRuleMatchesEveryCycle) {
+  const RunStats stats = expect_workload_matches_reference(R"(
+    (deftemplate b (slot v))
+    (deftemplate c (slot v))
+    (deftemplate seen (slot tag) (slot v))
+    (defrule rb (b (v ?x)) (not (seen (tag b) (v ?x)))
+      => (assert (seen (tag b) (v ?x))))
+    (defrule rc (c (v ?x)) (not (seen (tag c) (v ?x)))
+      => (assert (seen (tag c) (v ?x))))
+    (defmetarule one-b
+      (inst-rb (id ?i)) (inst-rb (id ?j)) (test (< ?i ?j)) => (redact ?j))
+    (defmetarule c-with-its-b
+      (inst-rc (id ?k) (x ?x)) (not (inst-rb (x ?x))) => (redact ?k))
+    (deffacts f
+      (b (v 1)) (b (v 2)) (b (v 3))
+      (c (v 1)) (c (v 2)) (c (v 3)) (c (v 3)) (c (v 5))))");
+  std::uint64_t max_rounds = 0;
+  for (const CycleStats& c : stats.per_cycle) {
+    max_rounds = std::max(max_rounds, c.meta_rounds);
+  }
+  EXPECT_GT(max_rounds, 1u);
 }
 
 TEST(MetaWitnesses, EqualRedactionsWhenEveryMetaRuleIsExistential) {

@@ -264,6 +264,29 @@ TEST(StatsSchema, CycleFieldsCoverPhaseTimings) {
   EXPECT_TRUE(saw_match && saw_redact && saw_fire && saw_merge);
 }
 
+// The redaction phase splits into reify, match and query laps of one
+// clock, so on every cycle the three sum exactly to redact_ns.
+TEST(StatsSchema, RedactSplitSumsToRedactTimeOnManners) {
+  const Program p = parse_program(workloads::make_manners(32, 4, 1).source);
+  EngineConfig cfg;
+  cfg.matcher = MatcherKind::ParallelTreat;
+  cfg.trace_cycles = true;
+  ParallelEngine engine(p, cfg);
+  engine.assert_initial_facts();
+  const RunStats stats = engine.run();
+  ASSERT_GT(stats.per_cycle.size(), 1u);
+  for (const CycleStats& c : stats.per_cycle) {
+    EXPECT_EQ(c.meta_reify_ns + c.meta_match_ns + c.meta_query_ns,
+              c.redact_ns)
+        << "cycle " << c.cycle;
+    EXPECT_GT(c.meta_reify_ns, 0u) << "cycle " << c.cycle;
+    EXPECT_GT(c.meta_query_ns, 0u) << "cycle " << c.cycle;
+  }
+  EXPECT_EQ(stats.meta_reify_ns + stats.meta_match_ns + stats.meta_query_ns,
+            stats.redact_ns);
+  EXPECT_GT(stats.meta_match_ns, 0u);
+}
+
 TEST(StatsSchema, RunFieldsRoundTripThroughMemberPointers) {
   RunStats s;
   s.cycles = 3;
@@ -387,6 +410,11 @@ TEST(TraceSink, ParallelEngineEmitsOneValidCycleEventPerCycle) {
                            field_u64(line, "redact_ns") +
                            field_u64(line, "fire_ns") +
                            field_u64(line, "merge_ns"));
+      // ... and the redaction split to redact_ns.
+      EXPECT_EQ(field_u64(line, "redact_ns"),
+                field_u64(line, "meta_reify_ns") +
+                    field_u64(line, "meta_match_ns") +
+                    field_u64(line, "meta_query_ns"));
       EXPECT_TRUE(has_field(line, "conflict_set"));
       EXPECT_TRUE(has_field(line, "write_conflicts"));
       EXPECT_TRUE(has_field(line, "alpha_activations"));
