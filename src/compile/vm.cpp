@@ -22,7 +22,7 @@ CompiledMatcher::CompiledMatcher(std::span<const CompiledRule> rules,
     : rules_(rules),
       alphas_(alpha_specs, template_count),
       join_(rules, alphas_),
-      quant_(rules, join_.plans()),
+      quant_(join_.plans()),
       positive_uses_(alpha_specs.size()),
       negative_uses_(alpha_specs.size()) {
   image_ = compile_rules(rules, alpha_specs, template_count, join_.plans(),
@@ -109,22 +109,15 @@ bool CompiledMatcher::quant_found(const WorkingMemory& wm,
 void CompiledMatcher::do_emit(std::int32_t rule_operand) {
   const auto rule = static_cast<RuleId>(rule_operand);
   const CompiledRule& r = rules_[rule];
-  Instantiation inst;
-  inst.rule = rule;
-  inst.facts.assign(facts_.begin(),
-                    facts_.begin() +
-                        static_cast<std::ptrdiff_t>(r.positives.size()));
-  const InstId id = cs_.add(std::move(inst));
+  const InstId id = cs_.add(
+      rule, std::span<const FactId>(facts_.data(), r.positives.size()),
+      quant_.keys(rule, std::span<const Value>(
+                            env_.data(), static_cast<std::size_t>(r.num_vars))));
   ++cstats_.emits;
   if (id == kInvalidInst) {
     ++stats_.derive_rejects;
-    return;
-  }
-  ++stats_.insts_derived;
-  if (!r.negatives.empty()) {
-    quant_.add(rule, id,
-               std::span<const Value>(env_.data(),
-                                      static_cast<std::size_t>(r.num_vars)));
+  } else {
+    ++stats_.insts_derived;
   }
 }
 
@@ -410,6 +403,7 @@ done:
 
 void CompiledMatcher::apply_delta(const WorkingMemory& wm,
                                   const Delta& delta) {
+  check_fact_ids(delta);
   ++stats_.deltas_processed;
 
   // Same event queues as the interpreter (see match/treat.cpp): quant
@@ -440,9 +434,7 @@ void CompiledMatcher::apply_delta(const WorkingMemory& wm,
       }
       alphas_.memory(a).erase(fact);
     }
-    removed_scratch_.clear();
-    cs_.remove_by_fact(fid, &removed_scratch_);
-    stats_.insts_invalidated += removed_scratch_.size();
+    stats_.insts_invalidated += cs_.remove_by_fact(fid);
   }
 
   // 2. Additions into alpha memories first (joins and quantifier checks
@@ -528,9 +520,8 @@ void CompiledMatcher::remove_blocked(const WorkingMemory& wm, RuleId rule_id,
   quant_.for_candidates(
       cs_, rule_id, static_cast<std::size_t>(neg_index), fact,
       [&](InstId id) {
-        const Instantiation& inst = cs_.get(id);
         rebuild_env(
-            rule, inst.facts,
+            rule, cs_.get(id).facts,
             [&](FactId f) { return wm.view(f); }, env_scratch_);
         if (JoinEngine::fact_blocks(fact, neg, env_scratch_)) {
           cs_.remove(id);
@@ -548,9 +539,8 @@ void CompiledMatcher::remove_disabled(const WorkingMemory& wm, RuleId rule_id,
   quant_.for_candidates(
       cs_, rule_id, static_cast<std::size_t>(neg_index), fact,
       [&](InstId id) {
-        const Instantiation& inst = cs_.get(id);
         rebuild_env(
-            rule, inst.facts,
+            rule, cs_.get(id).facts,
             [&](FactId f) { return wm.view(f); }, env_scratch_);
         if (JoinEngine::fact_blocks(fact, neg, env_scratch_) &&
             !join_.quantified_satisfied(wm, neg, env_scratch_)) {

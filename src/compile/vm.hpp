@@ -112,7 +112,6 @@ class CompiledMatcher : public Matcher {
   // Per-delta scratch.
   std::vector<std::uint32_t> added_alphas_;   ///< flattened per-fact hits
   std::vector<std::size_t> added_offsets_;
-  std::vector<InstId> removed_scratch_;
   std::vector<Value> env_scratch_;
 };
 

@@ -116,9 +116,9 @@ bool ParallelEngine::step(RunStats& stats) {
     MergeResult merged;
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
       if (config_.firing_log) {
-        const Instantiation& inst = cs.get(to_fire[i]);
+        const Instantiation inst = cs.get(to_fire[i]);
         config_.firing_log->push_back(
-            {stats.cycles, inst.rule, inst.facts});
+            {stats.cycles, inst.rule, {inst.facts.begin(), inst.facts.end()}});
       }
       cs.mark_fired(to_fire[i]);
       apply_pending(pending[i], wm_, config_.output, merged);

@@ -57,9 +57,11 @@ bool SequentialEngine::step(RunStats& stats) {
 
   {
     ScopedAccumulator t(cycle.fire_ns);
-    const Instantiation inst = cs.get(chosen);  // copy: fire mutates CS
+    // Firing keeps the record (refraction), so the view outlives it.
+    const Instantiation inst = cs.get(chosen);
     if (config_.firing_log) {
-      config_.firing_log->push_back({stats.cycles, inst.rule, inst.facts});
+      config_.firing_log->push_back(
+          {stats.cycles, inst.rule, {inst.facts.begin(), inst.facts.end()}});
     }
     cs.mark_fired(chosen);
     const DirectFireResult fired =

@@ -8,7 +8,7 @@ namespace {
 
 /// Time tags sorted descending — the LEX comparison key.
 std::vector<FactId> recency_key(const Instantiation& inst) {
-  std::vector<FactId> tags = inst.facts;
+  std::vector<FactId> tags(inst.facts.begin(), inst.facts.end());
   std::sort(tags.begin(), tags.end(), std::greater<>());
   return tags;
 }

@@ -133,12 +133,14 @@ struct DeriveWindow {
   int seed_pos = 0;                   ///< positive position it fills
 };
 
-/// Reusable DFS buffers for JoinEngine::enumerate/derive. Callers that
-/// enumerate in a loop keep one of these per thread so the per-call
-/// env/facts vectors stop hitting the allocator.
+/// Reusable DFS buffers for JoinEngine::enumerate/derive/
+/// enumerate_unblocked. Callers that enumerate in a loop keep one of
+/// these per thread so the per-call vectors stop hitting the allocator.
 struct JoinScratch {
   std::vector<Value> env;
   std::vector<FactId> facts;
+  std::vector<VarConstraint> pins;  ///< enumerate_unblocked's pins
+  std::vector<Value> probe_key;     ///< and its position-0 probe key
 };
 
 /// Join enumerator over one rule set + alpha store.
@@ -244,8 +246,8 @@ class JoinEngine {
     const RulePlan& plan = plans_[rule];
     const NegRematchPlan& rp = plan.neg_rematch[neg_index];
 
-    std::vector<VarConstraint> pins;
-    pins.reserve(rp.pins.size());
+    std::vector<VarConstraint>& pins = scratch.pins;
+    pins.clear();
     for (const auto& pin : rp.pins) {
       pins.push_back(
           {pin.var, blocker.slot(static_cast<std::size_t>(pin.blocker_slot))});
@@ -255,16 +257,17 @@ class JoinEngine {
     const Pos0Probe* probe_ptr = nullptr;
     if (rp.index_handle >= 0) {
       probe.index_handle = rp.index_handle;
-      probe.key.reserve(rp.pos0_slots.size());
+      scratch.probe_key.clear();
       for (std::size_t i = 0; i < rp.pos0_slots.size(); ++i) {
         // pos0_vars[i] is pinned; its value comes from the blocker.
         for (const auto& pin : pins) {
           if (pin.var == rp.pos0_vars[i]) {
-            probe.key.push_back(pin.value);
+            scratch.probe_key.push_back(pin.value);
             break;
           }
         }
       }
+      probe.key = scratch.probe_key;
       probe_ptr = &probe;
     }
 
@@ -291,7 +294,7 @@ class JoinEngine {
  private:
   struct Pos0Probe {
     int index_handle = -1;
-    std::vector<Value> key;
+    std::span<const Value> key;
   };
 
   /// Join-key hash composed straight from the environment (must agree

@@ -8,6 +8,7 @@
 //   ParallelTreatMatcher  — TREAT with rule x delta-chunk parallelism
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -105,6 +106,24 @@ class Matcher {
  protected:
   /// Mutable counter access for the base-class external-delta hook.
   virtual MatchStats& stats_mut() = 0;
+
+  /// Debug-asserts the invariant the conflict set's refraction rests on
+  /// (match/conflict_set.hpp): every fact a delta adds is newer than
+  /// any this matcher has seen, so a retracted fact id never returns.
+  /// Each apply_delta calls it first; a clear() of the matcher resets it
+  /// via forget_fact_ids().
+  void check_fact_ids([[maybe_unused]] const Delta& delta) {
+#ifndef NDEBUG
+    if (delta.added.empty()) return;
+    assert(delta.added.front() > newest_fact_ &&
+           "a FactId reached the matcher twice");
+    newest_fact_ = delta.added.back();
+#endif
+  }
+  void forget_fact_ids() { newest_fact_ = kInvalidFact; }
+
+ private:
+  FactId newest_fact_ = kInvalidFact;  ///< read by debug builds only
 };
 
 /// Construct a matcher over `program`'s object-level rules and alphas.

@@ -13,10 +13,11 @@ ParallelTreatMatcher::ParallelTreatMatcher(
     : rules_(rules),
       alphas_(alpha_specs, template_count),
       join_(rules, alphas_),
-      quant_(rules, join_.plans()),
+      quant_(join_.plans()),
       pool_(pool),
       positive_uses_(alpha_specs.size()),
-      negative_uses_(alpha_specs.size()) {
+      negative_uses_(alpha_specs.size()),
+      worker_scratch_(pool.thread_count()) {
   for (RuleId r = 0; r < rules_.size(); ++r) {
     const CompiledRule& rule = rules_[r];
     for (std::size_t p = 0; p < rule.positives.size(); ++p) {
@@ -32,15 +33,10 @@ ParallelTreatMatcher::ParallelTreatMatcher(
 
 void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
                                        const Delta& delta) {
+  check_fact_ids(delta);
   ++stats_.deltas_processed;
-
-  struct QuantEvent {
-    RuleId rule;
-    int neg;
-    FactId fact;
-  };
-  std::vector<QuantEvent> unblocks;
-  std::vector<QuantEvent> disables;
+  unblocks_.clear();
+  disables_.clear();
 
   // Sequential prologue: removals.
   for (FactId fid : delta.removed) {
@@ -53,16 +49,14 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
             rules_[use.rule].negatives[static_cast<std::size_t>(use.position)]
                 .exists;
         if (exists) {
-          disables.push_back({use.rule, use.position, fid});
+          disables_.push_back({use.rule, use.position, fid});
         } else {
-          unblocks.push_back({use.rule, use.position, fid});
+          unblocks_.push_back({use.rule, use.position, fid});
         }
       }
       alphas_.memory(a).erase(fact);
     }
-    std::vector<InstId> removed;
-    cs_.remove_by_fact(fid, &removed);
-    stats_.insts_invalidated += removed.size();
+    stats_.insts_invalidated += cs_.remove_by_fact(fid);
   }
 
   // Additions into alpha memories (must complete before the fan-out).
@@ -84,57 +78,50 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
 
   // Quantified-CE maintenance over pre-existing instantiations (new
   // ones are derived against post-delta alphas). Sequential: scans CS.
-  {
-    std::vector<Value> env;
-    for (std::size_t i = 0; i < delta.added.size(); ++i) {
-      const FactId fid = delta.added[i];
-      const FactView fact = wm.view(fid);
-      for (std::size_t j = added_offsets_[i]; j < added_offsets_[i + 1];
-           ++j) {
-        const std::uint32_t a = added_alphas_[j];
-        for (const AlphaUse& use : negative_uses_[a]) {
-          const CompiledRule& rule = rules_[use.rule];
-          const std::size_t n = static_cast<std::size_t>(use.position);
-          if (rule.negatives[n].exists) {
-            // New witness: may enable instantiations.
-            unblocks.push_back({use.rule, use.position, fid});
-            continue;
-          }
-          const PositionPlan& neg = join_.plan(use.rule).negatives[n];
-          quant_.for_candidates(
-              cs_, use.rule, n, fact, [&](InstId id) {
-                const Instantiation& inst = cs_.get(id);
-                rebuild_env(
-                    rule, inst.facts,
-                    [&](FactId f) { return wm.view(f); }, env);
-                if (JoinEngine::fact_blocks(fact, neg, env)) {
-                  cs_.remove(id);
-                  ++stats_.insts_invalidated;
-                }
-              });
+  std::vector<Value>& env = env_scratch_;
+  for (std::size_t i = 0; i < delta.added.size(); ++i) {
+    const FactId fid = delta.added[i];
+    const FactView fact = wm.view(fid);
+    for (std::size_t j = added_offsets_[i]; j < added_offsets_[i + 1]; ++j) {
+      const std::uint32_t a = added_alphas_[j];
+      for (const AlphaUse& use : negative_uses_[a]) {
+        const CompiledRule& rule = rules_[use.rule];
+        const std::size_t n = static_cast<std::size_t>(use.position);
+        if (rule.negatives[n].exists) {
+          // New witness: may enable instantiations.
+          unblocks_.push_back({use.rule, use.position, fid});
+          continue;
         }
+        const PositionPlan& neg = join_.plan(use.rule).negatives[n];
+        quant_.for_candidates(cs_, use.rule, n, fact, [&](InstId id) {
+          rebuild_env(
+              rule, cs_.get(id).facts,
+              [&](FactId f) { return wm.view(f); }, env);
+          if (JoinEngine::fact_blocks(fact, neg, env)) {
+            cs_.remove(id);
+            ++stats_.insts_invalidated;
+          }
+        });
       }
     }
-    // Departed (exists ...) witnesses.
-    for (const auto& d : disables) {
-      const FactView fact = wm.view(d.fact);
-      const CompiledRule& rule = rules_[d.rule];
-      const PositionPlan& neg =
-          join_.plan(d.rule).negatives[static_cast<std::size_t>(d.neg)];
-      quant_.for_candidates(
-          cs_, d.rule, static_cast<std::size_t>(d.neg), fact,
-          [&](InstId id) {
-            const Instantiation& inst = cs_.get(id);
-            rebuild_env(
-                rule, inst.facts,
-                [&](FactId f) { return wm.view(f); }, env);
-            if (JoinEngine::fact_blocks(fact, neg, env) &&
-                !join_.quantified_satisfied(wm, neg, env)) {
-              cs_.remove(id);
-              ++stats_.insts_invalidated;
-            }
-          });
-    }
+  }
+  // Departed (exists ...) witnesses.
+  for (const auto& d : disables_) {
+    const FactView fact = wm.view(d.fact);
+    const CompiledRule& rule = rules_[d.rule];
+    const PositionPlan& neg =
+        join_.plan(d.rule).negatives[static_cast<std::size_t>(d.neg)];
+    quant_.for_candidates(
+        cs_, d.rule, static_cast<std::size_t>(d.neg), fact, [&](InstId id) {
+          rebuild_env(
+              rule, cs_.get(id).facts,
+              [&](FactId f) { return wm.view(f); }, env);
+          if (JoinEngine::fact_blocks(fact, neg, env) &&
+              !join_.quantified_satisfied(wm, neg, env)) {
+            cs_.remove(id);
+            ++stats_.insts_invalidated;
+          }
+        });
   }
 
   // Parallel fan-out: derivation tasks. Work unit = (added-fact chunk x
@@ -145,107 +132,105 @@ void ParallelTreatMatcher::apply_delta(const WorkingMemory& wm,
   // exactly one seed: the one the sequential walk would reach first.
   assert(std::adjacent_find(delta.added.begin(), delta.added.end(),
                             std::greater_equal<>()) == delta.added.end());
-  const std::size_t n_added = delta.added.size();
-  std::vector<std::vector<Instantiation>> task_out;
-  if (n_added > 0) {
-    const std::size_t target_tasks =
-        std::max<std::size_t>(1, pool_.thread_count() * 4ull);
-    const std::size_t chunk =
-        std::max<std::size_t>(1, (n_added + target_tasks - 1) / target_tasks);
-    const std::size_t n_chunks = (n_added + chunk - 1) / chunk;
-    task_out.resize(n_chunks);
-
-    std::vector<std::function<void(unsigned)>> jobs;
-    jobs.reserve(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(n_added, lo + chunk);
-      jobs.push_back([this, &wm, &delta, &task_out, c, lo, hi](unsigned) {
-        // The prologue recorded each fact's accepting alphas; jobs only
-        // read them, so no alpha test re-runs in the parallel phase.
-        JoinScratch scratch;
-        auto& out = task_out[c];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const FactId fid = delta.added[i];
-          for (std::size_t j = added_offsets_[i]; j < added_offsets_[i + 1];
-               ++j) {
-            for (const AlphaUse& use : positive_uses_[added_alphas_[j]]) {
-              join_.derive(wm, use.rule,
-                           {delta.added.front(), fid, use.position}, scratch,
-                           [&](const std::vector<FactId>& facts,
-                               std::span<const Value>) {
-                             Instantiation inst;
-                             inst.rule = use.rule;
-                             inst.facts = facts;
-                             out.push_back(std::move(inst));
-                           });
-            }
-          }
-        }
-      });
-    }
-    pool_.run_batch(jobs);
-  }
-
-  merge(wm, task_out);
+  wm_ = &wm;
+  delta_ = &delta;
+  fan_out(delta.added.size(), &ParallelTreatMatcher::derive_task);
 
   // Constrained re-derivations for retracted negated-CE blockers; these
   // parallelize per (rule, blocker), chunked like the derivations.
-  if (!unblocks.empty()) {
-    const std::size_t target_tasks =
-        std::max<std::size_t>(1, pool_.thread_count() * 4ull);
-    const std::size_t chunk = std::max<std::size_t>(
-        1, (unblocks.size() + target_tasks - 1) / target_tasks);
-    const std::size_t n_chunks = (unblocks.size() + chunk - 1) / chunk;
-    std::vector<std::vector<Instantiation>> rematch_out(n_chunks);
-    std::vector<std::function<void(unsigned)>> jobs;
-    jobs.reserve(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(unblocks.size(), lo + chunk);
-      jobs.push_back([this, &wm, &unblocks, &rematch_out, c, lo,
-                      hi](unsigned) {
-        JoinScratch scratch;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& u = unblocks[i];
-          join_.enumerate_unblocked(
-              wm, u.rule, static_cast<std::size_t>(u.neg), wm.view(u.fact),
-              scratch,
-              [&](const std::vector<FactId>& facts, std::span<const Value>) {
-                Instantiation inst;
-                inst.rule = u.rule;
-                inst.facts = facts;
-                rematch_out[c].push_back(std::move(inst));
-              });
-        }
-      });
-    }
-    pool_.run_batch(jobs);
-    stats_.full_rematches += unblocks.size();
-    merge(wm, rematch_out);
+  if (!unblocks_.empty()) {
+    fan_out(unblocks_.size(), &ParallelTreatMatcher::rematch_task);
+    stats_.full_rematches += unblocks_.size();
   }
+  wm_ = nullptr;
+  delta_ = nullptr;
 
   stats_.state_entries = cs_.size();
 }
 
-void ParallelTreatMatcher::merge(
-    const WorkingMemory& wm,
-    std::vector<std::vector<Instantiation>>& task_out) {
-  std::vector<Value> env;
-  for (auto& buffer : task_out) {
-    for (auto& inst : buffer) {
-      const RuleId rule = inst.rule;
-      const InstId id = cs_.add(std::move(inst));
-      if (id == kInvalidInst) {
-        ++stats_.derive_rejects;
-        continue;
+void ParallelTreatMatcher::fan_out(
+    std::size_t items,
+    void (ParallelTreatMatcher::*run)(std::size_t, JoinScratch&)) {
+  if (items == 0) return;
+  const std::size_t target_tasks =
+      std::max<std::size_t>(1, pool_.thread_count() * 4ull);
+  chunk_ = std::max<std::size_t>(1, (items + target_tasks - 1) / target_tasks);
+  const std::size_t tasks = (items + chunk_ - 1) / chunk_;
+  if (task_out_.size() < tasks) task_out_.resize(tasks);
+  task_fn_ = run;
+  // The closures hold (this, c) only, which std::function stores in
+  // place: rebuilding the list allocates nothing once it has capacity.
+  jobs_.clear();
+  for (std::size_t c = 0; c < tasks; ++c) {
+    task_out_[c].clear();
+    jobs_.push_back([this, c](unsigned worker) {
+      (this->*task_fn_)(c, worker_scratch_[worker]);
+    });
+  }
+  pool_.run_batch(jobs_);
+  merge(tasks);
+}
+
+void ParallelTreatMatcher::emit(TaskBuffer& out, RuleId rule,
+                                std::span<const FactId> facts,
+                                std::span<const Value> env) const {
+  out.push_back(rule);
+  out.insert(out.end(), facts.begin(), facts.end());
+  QuantIndex::append_keys(join_.plan(rule), env, out);
+}
+
+void ParallelTreatMatcher::derive_task(std::size_t c, JoinScratch& scratch) {
+  // The prologue recorded each fact's accepting alphas; jobs only read
+  // them, so no alpha test re-runs in the parallel phase.
+  const Delta& delta = *delta_;
+  TaskBuffer& out = task_out_[c];
+  const std::size_t lo = c * chunk_;
+  const std::size_t hi = std::min(delta.added.size(), lo + chunk_);
+  for (std::size_t i = lo; i < hi; ++i) {
+    const FactId fid = delta.added[i];
+    for (std::size_t j = added_offsets_[i]; j < added_offsets_[i + 1]; ++j) {
+      for (const AlphaUse& use : positive_uses_[added_alphas_[j]]) {
+        join_.derive(*wm_, use.rule, {delta.added.front(), fid, use.position},
+                     scratch,
+                     [&](std::span<const FactId> facts,
+                         std::span<const Value> env) {
+                       emit(out, use.rule, facts, env);
+                     });
       }
-      ++stats_.insts_derived;
-      if (!rules_[rule].negatives.empty()) {
-        rebuild_env(
-            rules_[rule], cs_.get(id).facts,
-            [&](FactId f) { return wm.view(f); }, env);
-        quant_.add(rule, id, env);
+    }
+  }
+}
+
+void ParallelTreatMatcher::rematch_task(std::size_t c, JoinScratch& scratch) {
+  TaskBuffer& out = task_out_[c];
+  const std::size_t lo = c * chunk_;
+  const std::size_t hi = std::min(unblocks_.size(), lo + chunk_);
+  for (std::size_t i = lo; i < hi; ++i) {
+    const QuantEvent& u = unblocks_[i];
+    join_.enumerate_unblocked(
+        *wm_, u.rule, static_cast<std::size_t>(u.neg), wm_->view(u.fact),
+        scratch,
+        [&](std::span<const FactId> facts, std::span<const Value> env) {
+          emit(out, u.rule, facts, env);
+        });
+  }
+}
+
+void ParallelTreatMatcher::merge(std::size_t tasks) {
+  for (std::size_t c = 0; c < tasks; ++c) {
+    const TaskBuffer& buffer = task_out_[c];
+    for (std::size_t i = 0; i < buffer.size();) {
+      const auto rule = static_cast<RuleId>(buffer[i++]);
+      const std::size_t n_facts = rules_[rule].positives.size();
+      const std::size_t n_keys = rules_[rule].negatives.size();
+      const std::span<const FactId> facts(buffer.data() + i, n_facts);
+      const std::span<const std::size_t> keys(buffer.data() + i + n_facts,
+                                              n_keys);
+      i += n_facts + n_keys;
+      if (cs_.add(rule, facts, keys) == kInvalidInst) {
+        ++stats_.derive_rejects;
+      } else {
+        ++stats_.insts_derived;
       }
     }
   }

@@ -13,6 +13,8 @@
 //     downstream — deterministic for a given delta sequence.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -42,11 +44,33 @@ class ParallelTreatMatcher : public Matcher {
     RuleId rule;
     int position;
   };
+  struct QuantEvent {
+    RuleId rule;
+    int neg;
+    FactId fact;
+  };
 
-  /// Fold task buffers into the conflict set in task order (dedup and
-  /// refraction in cs_.add), so ids are independent of thread timing.
-  void merge(const WorkingMemory& wm,
-             std::vector<std::vector<Instantiation>>& task_out);
+  /// One fan-out task's emissions, flat: per match its rule id, its
+  /// facts, then its quantified-CE keys (both counts fixed by the rule).
+  using TaskBuffer = std::vector<std::uint64_t>;
+
+  /// Split `items` into chunks (~4 per pool thread), run task c =
+  /// run(c, worker scratch) for each over the pool, then merge. Jobs,
+  /// buffers and scratch are the matcher's and reused each cycle.
+  void fan_out(std::size_t items,
+               void (ParallelTreatMatcher::*run)(std::size_t, JoinScratch&));
+  /// Derivation task c: seminaive joins from its chunk of added facts.
+  void derive_task(std::size_t c, JoinScratch& scratch);
+  /// Re-derivation task c: its chunk of unblock events.
+  void rematch_task(std::size_t c, JoinScratch& scratch);
+  /// Append one match to a task buffer.
+  void emit(TaskBuffer& out, RuleId rule, std::span<const FactId> facts,
+            std::span<const Value> env) const;
+
+  /// Fold the first `tasks` buffers into the conflict set in task order
+  /// (dedup and refraction in cs_.add), so ids are independent of
+  /// thread timing.
+  void merge(std::size_t tasks);
 
   std::span<const CompiledRule> rules_;
   AlphaStore alphas_;
@@ -63,6 +87,20 @@ class ParallelTreatMatcher : public Matcher {
   // sequential prologue and read-only during the parallel fan-out.
   std::vector<std::uint32_t> added_alphas_;
   std::vector<std::size_t> added_offsets_;
+  std::vector<QuantEvent> unblocks_;
+  std::vector<QuantEvent> disables_;
+  std::vector<Value> env_scratch_;
+
+  // Fan-out state, kept across cycles so a warmed-up matcher does not
+  // allocate per job: the jobs capture only (this, task index) and read
+  // the current delta and chunking from here.
+  const WorkingMemory* wm_ = nullptr;
+  const Delta* delta_ = nullptr;
+  std::size_t chunk_ = 0;
+  void (ParallelTreatMatcher::*task_fn_)(std::size_t, JoinScratch&) = nullptr;
+  std::vector<std::function<void(unsigned)>> jobs_;
+  std::vector<TaskBuffer> task_out_;
+  std::vector<JoinScratch> worker_scratch_;  ///< one per pool worker
 };
 
 }  // namespace parulel

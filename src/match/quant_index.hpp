@@ -1,20 +1,23 @@
-// Index from quantified-CE join keys to instantiations.
+// Quantified-CE keys: from a (not ...) / (exists ...) delta fact to the
+// conflict-set instantiations it affects.
 //
 // When a fact enters a (not ...) alpha or leaves an (exists ...) alpha,
 // the matcher must find the conflict-set instantiations it affects.
 // Scanning the rule's whole instantiation list is O(|CS|) per delta fact
-// — quadratic on saturation workloads. This index maps, per (rule,
-// quantified CE), the hash of an instantiation's join-key values to the
-// instantiation, so the affected set is a hash probe.
+// — quadratic on saturation workloads. Instead every instantiation of a
+// rule with quantified CEs carries, per CE, the hash of its join-key
+// values (keys(), computed from its LHS environment), and the conflict
+// set indexes its alive instantiations by (rule, CE, key). The affected
+// set of a fact is then one probe by the same hash composed from the
+// fact's slots (for_candidates()).
 //
-// Entries are append-only and lazily pruned: probes skip (and erase)
-// instantiations the conflict set no longer holds alive, so the matcher
-// never needs removal hooks.
+// The keys live in the instantiation's own conflict-set record and leave
+// the index when it leaves the alive set, so the index holds exactly the
+// alive instantiations' keys.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "match/conflict_set.hpp"
@@ -24,59 +27,33 @@ namespace parulel {
 
 class QuantIndex {
  public:
-  QuantIndex(std::span<const CompiledRule> rules,
-             const std::vector<RulePlan>& plans)
-      : rules_(rules), plans_(plans) {
-    maps_.resize(rules.size());
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      maps_[r].resize(rules[r].negatives.size());
-    }
+  explicit QuantIndex(const std::vector<RulePlan>& plans) : plans_(plans) {}
+
+  /// The quantified-CE keys of an instantiation of `rule` whose LHS
+  /// environment is `env`, for ConflictSet::add: one per CE, none for a
+  /// rule without quantified CEs. The span is valid until the next call.
+  std::span<const std::size_t> keys(RuleId rule, std::span<const Value> env) {
+    keys_.clear();
+    append_keys(plans_[rule], env, keys_);
+    return keys_;
   }
 
-  /// Register a freshly added instantiation under every quantified CE's
-  /// key. `env` is the instantiation's LHS environment.
-  void add(RuleId rule, InstId id, std::span<const Value> env) {
-    const RulePlan& plan = plans_[rule];
-    for (std::size_t n = 0; n < plan.negatives.size(); ++n) {
-      maps_[rule][n].emplace(key_of_env(plan.negatives[n], env), id);
+  /// keys() appended to a caller-owned buffer (parallel emission).
+  static void append_keys(const RulePlan& plan, std::span<const Value> env,
+                          std::vector<std::size_t>& out) {
+    for (const PositionPlan& neg : plan.negatives) {
+      out.push_back(key_of_env(neg, env));
     }
   }
 
   /// Visit alive instantiations of `rule` whose quantified CE `n` keys
   /// match `fact` (hash candidates; the caller still verifies
-  /// fact_blocks). Dead entries are pruned in passing.
+  /// fact_blocks). `fn(id)` may remove instantiations.
   template <typename Fn>
-  void for_candidates(const ConflictSet& cs, RuleId rule, std::size_t n,
-                      const FactView& fact, Fn&& fn) {
-    auto& map = maps_[rule][n];
-    const std::size_t key = key_of_fact(plans_[rule].negatives[n], fact);
-    auto [lo, hi] = map.equal_range(key);
-    for (auto it = lo; it != hi;) {
-      if (!cs.alive(it->second)) {
-        it = map.erase(it);
-        continue;
-      }
-      fn(it->second);
-      ++it;
-    }
-  }
-
-  /// Drop every entry. Maps that were never filled are skipped, so a
-  /// rule level without quantified enumerated rules clears in O(rules).
-  void clear() {
-    for (auto& per_rule : maps_) {
-      for (auto& map : per_rule) {
-        if (!map.empty()) map.clear();
-      }
-    }
-  }
-
-  std::size_t entries() const {
-    std::size_t total = 0;
-    for (const auto& per_rule : maps_) {
-      for (const auto& map : per_rule) total += map.size();
-    }
-    return total;
+  void for_candidates(ConflictSet& cs, RuleId rule, std::size_t n,
+                      const FactView& fact, Fn&& fn) const {
+    cs.for_each_quant(rule, n, key_of_fact(plans_[rule].negatives[n], fact),
+                      std::forward<Fn>(fn));
   }
 
  private:
@@ -99,11 +76,8 @@ class QuantIndex {
     return h;
   }
 
-  std::span<const CompiledRule> rules_;
   const std::vector<RulePlan>& plans_;
-  // maps_[rule][neg]: key hash -> inst id (possibly stale; pruned lazily).
-  std::vector<std::vector<std::unordered_multimap<std::size_t, InstId>>>
-      maps_;
+  std::vector<std::size_t> keys_;  ///< keys()'s reused buffer
 };
 
 }  // namespace parulel

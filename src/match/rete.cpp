@@ -129,10 +129,7 @@ std::size_t ReteMatcher::neg_key_hash_fact(RuleId rule, std::size_t n,
 }
 
 void ReteMatcher::production_add(RuleId rule, const Token& token) {
-  Instantiation inst;
-  inst.rule = rule;
-  inst.facts = token.facts;
-  if (cs_.add(std::move(inst)) != kInvalidInst) {
+  if (cs_.add(rule, token.facts) != kInvalidInst) {
     ++stats_.insts_derived;
   } else {
     ++stats_.derive_rejects;
@@ -140,10 +137,7 @@ void ReteMatcher::production_add(RuleId rule, const Token& token) {
 }
 
 void ReteMatcher::production_remove(RuleId rule, const Token& token) {
-  Instantiation probe;
-  probe.rule = rule;
-  probe.facts = token.facts;
-  if (cs_.remove_by_key(probe)) ++stats_.insts_invalidated;
+  if (cs_.remove_by_key(rule, token.facts)) ++stats_.insts_invalidated;
 }
 
 void ReteMatcher::arrive_at_gate(const WorkingMemory& wm, RuleId rule,
@@ -457,12 +451,11 @@ void ReteMatcher::retract_one(const WorkingMemory& /*wm*/,
   }
 
   // Conflict-set entries containing the fact die with it.
-  std::vector<InstId> removed;
-  cs_.remove_by_fact(fact.id(), &removed);
-  stats_.insts_invalidated += removed.size();
+  stats_.insts_invalidated += cs_.remove_by_fact(fact.id());
 }
 
 void ReteMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
+  check_fact_ids(delta);
   ++stats_.deltas_processed;
   for (FactId fid : delta.removed) retract_one(wm, wm.view(fid));
   for (FactId fid : delta.added) assert_one(wm, wm.view(fid));

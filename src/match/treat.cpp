@@ -13,7 +13,7 @@ TreatMatcher::TreatMatcher(std::span<const CompiledRule> rules,
     : rules_(rules),
       alphas_(alpha_specs, template_count),
       join_(rules, alphas_),
-      quant_(rules, join_.plans()),
+      quant_(join_.plans()),
       positive_uses_(alpha_specs.size()),
       negative_uses_(alpha_specs.size()) {
   for (RuleId r = 0; r < rules_.size(); ++r) {
@@ -31,19 +31,15 @@ TreatMatcher::TreatMatcher(std::span<const CompiledRule> rules,
 }
 
 void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
+  check_fact_ids(delta);
   ++stats_.deltas_processed;
 
   // Work queued against quantified CEs:
   //   unblocks   — (not ...) blocker left / (exists ...) witness arrived:
   //                constrained re-derivation may ADD instantiations;
   //   disables   — (exists ...) witness left: instantiations may DIE.
-  struct QuantEvent {
-    RuleId rule;
-    int neg;
-    FactId fact;
-  };
-  std::vector<QuantEvent> unblocks;
-  std::vector<QuantEvent> disables;
+  unblocks_.clear();
+  disables_.clear();
 
   // 1. Removals: update alphas, drop invalidated instantiations.
   for (FactId fid : delta.removed) {
@@ -56,16 +52,14 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
             rules_[use.rule].negatives[static_cast<std::size_t>(use.position)]
                 .exists;
         if (exists) {
-          disables.push_back({use.rule, use.position, fid});
+          disables_.push_back({use.rule, use.position, fid});
         } else {
-          unblocks.push_back({use.rule, use.position, fid});
+          unblocks_.push_back({use.rule, use.position, fid});
         }
       }
       alphas_.memory(a).erase(fact);
     }
-    std::vector<InstId> removed;
-    cs_.remove_by_fact(fid, &removed);
-    stats_.insts_invalidated += removed.size();
+    stats_.insts_invalidated += cs_.remove_by_fact(fid);
   }
 
   // 2. Additions into alpha memories first, so derivations see the
@@ -100,7 +94,7 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
             rules_[use.rule].negatives[static_cast<std::size_t>(use.position)]
                 .exists;
         if (exists) {
-          unblocks.push_back({use.rule, use.position, fid});
+          unblocks_.push_back({use.rule, use.position, fid});
         } else {
           remove_blocked(wm, use.rule, use.position, fid);
         }
@@ -122,12 +116,12 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
 
   // 5. Departed (exists ...) witnesses: drop instantiations whose CE is
   // no longer satisfied in the post-delta state.
-  for (const auto& d : disables) {
+  for (const auto& d : disables_) {
     remove_disabled(wm, d.rule, d.neg, d.fact);
   }
 
   // 6. Constrained re-derivations last (they are dedup-protected).
-  for (const auto& u : unblocks) {
+  for (const auto& u : unblocks_) {
     rematch_unblocked(wm, u.rule, static_cast<std::size_t>(u.neg), u.fact);
   }
 
@@ -137,8 +131,8 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
 void TreatMatcher::clear() {
   alphas_.clear();
   cs_.clear();
-  quant_.clear();
   stats_ = MatchStats{};
+  forget_fact_ids();
 }
 
 void TreatMatcher::derive_for_added(const WorkingMemory& wm,
@@ -148,19 +142,14 @@ void TreatMatcher::derive_for_added(const WorkingMemory& wm,
     for (const AlphaUse& use : positive_uses_[a]) {
       join_.derive(wm, use.rule, {delta_front, fid, use.position},
                    join_scratch_,
-                   [&](const std::vector<FactId>& facts,
+                   [&](std::span<const FactId> facts,
                        std::span<const Value> env) {
-                     Instantiation inst;
-                     inst.rule = use.rule;
-                     inst.facts = facts;
-                     const InstId id = cs_.add(std::move(inst));
-                     if (id == kInvalidInst) {
+                     if (cs_.add(use.rule, facts,
+                                 quant_.keys(use.rule, env)) ==
+                         kInvalidInst) {
                        ++stats_.derive_rejects;
-                       return;
-                     }
-                     ++stats_.insts_derived;
-                     if (!rules_[use.rule].negatives.empty()) {
-                       quant_.add(use.rule, id, env);
+                     } else {
+                       ++stats_.insts_derived;
                      }
                    });
     }
@@ -173,13 +162,12 @@ void TreatMatcher::remove_blocked(const WorkingMemory& wm, RuleId rule_id,
   const CompiledRule& rule = rules_[rule_id];
   const PositionPlan& neg =
       join_.plan(rule_id).negatives[static_cast<std::size_t>(neg_index)];
-  std::vector<Value> env;
+  std::vector<Value>& env = env_scratch_;
   quant_.for_candidates(
       cs_, rule_id, static_cast<std::size_t>(neg_index), fact,
       [&](InstId id) {
-        const Instantiation& inst = cs_.get(id);
         rebuild_env(
-            rule, inst.facts,
+            rule, cs_.get(id).facts,
             [&](FactId f) { return wm.view(f); }, env);
         if (JoinEngine::fact_blocks(fact, neg, env)) {
           cs_.remove(id);
@@ -194,13 +182,12 @@ void TreatMatcher::remove_disabled(const WorkingMemory& wm, RuleId rule_id,
   const CompiledRule& rule = rules_[rule_id];
   const PositionPlan& neg =
       join_.plan(rule_id).negatives[static_cast<std::size_t>(neg_index)];
-  std::vector<Value> env;
+  std::vector<Value>& env = env_scratch_;
   quant_.for_candidates(
       cs_, rule_id, static_cast<std::size_t>(neg_index), fact,
       [&](InstId id) {
-        const Instantiation& inst = cs_.get(id);
         rebuild_env(
-            rule, inst.facts,
+            rule, cs_.get(id).facts,
             [&](FactId f) { return wm.view(f); }, env);
         // Only instantiations the departed fact witnessed can be
         // affected; they die when no other witness remains.
@@ -217,18 +204,15 @@ void TreatMatcher::rematch_unblocked(const WorkingMemory& wm, RuleId rule,
   ++stats_.full_rematches;
   join_.enumerate_unblocked(wm, rule, neg_index, wm.view(pivot),
                             join_scratch_,
-                            [&](const std::vector<FactId>& facts,
+                            [&](std::span<const FactId> facts,
                                 std::span<const Value> env) {
-                              Instantiation inst;
-                              inst.rule = rule;
-                              inst.facts = facts;
-                              const InstId id = cs_.add(std::move(inst));
-                              if (id == kInvalidInst) {
+                              if (cs_.add(rule, facts,
+                                          quant_.keys(rule, env)) ==
+                                  kInvalidInst) {
                                 ++stats_.derive_rejects;
-                                return;
+                              } else {
+                                ++stats_.insts_derived;
                               }
-                              ++stats_.insts_derived;
-                              quant_.add(rule, id, env);
                             });
 }
 

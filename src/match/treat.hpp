@@ -45,14 +45,14 @@ class TreatMatcher : public Matcher {
   void apply_delta(const WorkingMemory& wm, const Delta& delta) override;
 
   /// Return to the just-constructed state — empty alpha memories,
-  /// conflict set (refraction memory and key index included) and
-  /// quantified-CE index, zeroed stats — keeping the join plans, the
+  /// conflict set (refraction memory, key index and quantified-CE keys
+  /// included), zeroed stats — keeping the join plans, the
   /// registered alpha indexes and all capacity. The next InstId is 0
   /// again. For a matcher whose working memory was cleared too.
   void clear();
 
-  /// Entries in the quantified-CE index (stale ones included).
-  std::size_t quant_entries() const { return quant_.entries(); }
+  /// Entries in the quantified-CE index (alive instantiations' keys).
+  std::size_t quant_entries() const { return cs_.quant_entries(); }
 
   ConflictSet& conflict_set() override { return cs_; }
   const JoinEngine& join() const { return join_; }
@@ -99,6 +99,15 @@ class TreatMatcher : public Matcher {
   std::vector<std::uint32_t> added_alphas_;
   std::vector<std::size_t> added_offsets_;
   JoinScratch join_scratch_;
+  std::vector<Value> env_scratch_;  ///< steps 3 and 5's rebuilt envs
+  // Quantified-CE events queued for steps 5 and 6 (see apply_delta).
+  struct QuantEvent {
+    RuleId rule;
+    int neg;
+    FactId fact;
+  };
+  std::vector<QuantEvent> unblocks_;
+  std::vector<QuantEvent> disables_;
 };
 
 }  // namespace parulel

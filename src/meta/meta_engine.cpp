@@ -93,7 +93,7 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
     // Pass 1: fire the enumerated rules' whole meta conflict set
     // (set-oriented), collecting the round's redactions.
     for (InstId mid : to_fire) {
-      const Instantiation& minst = meta_cs.get(mid);
+      const Instantiation minst = meta_cs.get(mid);
       const CompiledRule& mrule = program_.meta_rules[minst.rule];
       rebuild_env(
           mrule, minst.facts,

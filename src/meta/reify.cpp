@@ -12,24 +12,22 @@ std::vector<FactId> reify_conflict_set(const Program& program,
   std::vector<FactId> meta_ids;
   meta_ids.reserve(eligible.size());
   std::vector<Value> env;
+  // One slot buffer serves every meta fact: assert_fact copies it.
+  std::vector<Value> slots;
   for (InstId id : eligible) {
-    const Instantiation& inst = cs.get(id);
+    const Instantiation inst = cs.get(id);
     const CompiledRule& rule = program.rules[inst.rule];
     rebuild_env(
         rule, inst.facts,
         [&](FactId f) { return object_wm.view(f); }, env);
 
-    std::vector<Value> slots;
-    slots.reserve(1 + static_cast<std::size_t>(rule.num_lhs_vars));
+    slots.clear();
     slots.push_back(Value::integer(static_cast<std::int64_t>(id)));
-    for (int v = 0; v < rule.num_lhs_vars; ++v) {
-      slots.push_back(env[static_cast<std::size_t>(v)]);
-    }
+    slots.insert(slots.end(), env.begin(), env.begin() + rule.num_lhs_vars);
     // Distinct ids make every meta fact unique, so set-semantics
     // absorption cannot trigger here.
     meta_ids.push_back(
-        meta_wm.assert_fact(program.inst_templates[inst.rule],
-                            std::move(slots)));
+        meta_wm.assert_fact(program.inst_templates[inst.rule], slots));
   }
   return meta_ids;
 }

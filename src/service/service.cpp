@@ -773,6 +773,13 @@ RecoveryReport RuleService::recover_one(const std::string& path) {
       switch (record_type(payload)) {
         case RecordType::Header:
           throw JournalError("duplicate header record");
+        case RecordType::SiteBatch:
+        case RecordType::SiteSnapshot:
+          // A cluster site's WAL record: this is not a session journal.
+          throw JournalError(
+              std::string(record_kind_name(
+                  static_cast<std::uint8_t>(record_type(payload)))) +
+              " record in a session journal");
         case RecordType::Snapshot: {
           if (!at_head) {
             throw JournalError("snapshot record not at journal head");

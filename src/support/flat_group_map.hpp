@@ -6,10 +6,14 @@
 // indexes and the conflict set dominated match time (one allocation and
 // one pointer chase per entry, per probe). Here the table is two flat
 // arrays (key, group handle) probed linearly, and each distinct key
-// owns a contiguous vector of values in insertion order. Groups keep
-// their table slot when emptied, so the table needs no tombstones and
-// steady-state churn (erase + re-insert of the same keys) allocates
-// nothing.
+// owns a contiguous vector of values in insertion order. A group keeps
+// its table slot when emptied, so churn on a fixed key set (erase +
+// re-insert of the same keys) allocates nothing. A map whose keys come
+// and go for good (the conflict set's, keyed by instantiation and by
+// fact) erases them instead: erase() uses backward-shift deletion, so
+// the table needs no tombstones, and the freed group object, spilled
+// storage included, serves the next new key. Such a map holds as many
+// groups as it has live keys, never one per key it has ever seen.
 //
 // clear() empties the map and keeps every allocation — the table, the
 // group objects and their spilled storage — so a map rebuilt each cycle
@@ -45,15 +49,16 @@ class FlatGroupMap {
     return groups_[group_id_for(key)];
   }
 
-  /// Group id for `key`, created if absent. Ids are dense, assigned in
-  /// creation order, and stable until clear() (groups are never
-  /// deleted one by one), so callers can keep per-group metadata in a
-  /// parallel array — see AlphaMemory's canonical-key cache.
+  /// Group id for `key`, created if absent. Ids are stable until the
+  /// key is erased or the map cleared, so callers can keep per-group
+  /// metadata in a parallel array — see AlphaMemory's canonical-key
+  /// cache. Without erase() they are dense and assigned in creation
+  /// order; an erased key's id goes back to a free list for reuse.
   std::size_t group_id_for(std::size_t key) {
     if (ctrl_.empty()) {
       ctrl_.assign(kInitialTable, 0);
       keys_.assign(kInitialTable, 0);
-    } else if ((distinct_ + 1) * 4 > ctrl_.size() * 3) {
+    } else if ((live_ + 1) * 4 > ctrl_.size() * 3) {
       grow();
     }
     const std::size_t mask = ctrl_.size() - 1;
@@ -62,19 +67,68 @@ class FlatGroupMap {
       if (keys_[i] == key) return ctrl_[i] - 1;
       i = (i + 1) & mask;
     }
-    // Reuse a group object a clear() left behind before growing.
-    if (distinct_ == groups_.size()) groups_.emplace_back();
-    ctrl_[i] = static_cast<std::uint32_t>(++distinct_);
+    // Reuse a group object an erase() or clear() left behind before
+    // growing.
+    std::size_t id;
+    if (!free_ids_.empty()) {
+      id = free_ids_.back();
+      free_ids_.pop_back();
+    } else {
+      if (used_ == groups_.size()) groups_.emplace_back();
+      id = used_++;
+    }
+    ctrl_[i] = static_cast<std::uint32_t>(id + 1);
     keys_[i] = key;
-    return distinct_ - 1;
+    ++live_;
+    return id;
+  }
+
+  /// Remove `key` and empty its group; no-op when absent. Backward-shift
+  /// deletion: later entries of the probe cluster slide up, so lookups
+  /// never degrade under churn. The group object is kept for reuse.
+  void erase(std::size_t key) {
+    if (ctrl_.empty()) return;
+    const std::size_t mask = ctrl_.size() - 1;
+    std::size_t i = mix(key) & mask;
+    while (ctrl_[i] != 0 && keys_[i] != key) i = (i + 1) & mask;
+    if (ctrl_[i] == 0) return;
+    const std::size_t id = ctrl_[i] - 1;
+    groups_[id].clear();
+    free_ids_.push_back(static_cast<std::uint32_t>(id));
+    --live_;
+    std::size_t j = i;
+    for (;;) {
+      j = (j + 1) & mask;
+      if (ctrl_[j] == 0) break;
+      // Move j up only if its home slot does not lie in (i, j] — i.e.
+      // the probe that found j would also have found i.
+      const std::size_t home = mix(keys_[j]) & mask;
+      if (((j - home) & mask) >= ((j - i) & mask)) {
+        ctrl_[i] = ctrl_[j];
+        keys_[i] = keys_[j];
+        i = j;
+      }
+    }
+    ctrl_[i] = 0;
   }
 
   /// Remove every key and group. Group ids restart at 0.
   void clear() {
-    if (distinct_ == 0) return;
+    if (used_ == 0) return;
     std::fill(ctrl_.begin(), ctrl_.end(), 0);
-    for (std::size_t g = 0; g < distinct_; ++g) groups_[g].clear();
-    distinct_ = 0;
+    for (std::size_t g = 0; g < used_; ++g) groups_[g].clear();
+    used_ = 0;
+    live_ = 0;
+    free_ids_.clear();
+  }
+
+  /// Keys present.
+  std::size_t size() const { return live_; }
+
+  /// Table slots plus group objects held — what the map has reserved,
+  /// in entries (spilled group storage aside).
+  std::size_t capacity() const {
+    return ctrl_.size() + groups_.size() + free_ids_.capacity();
   }
 
   /// Group id for `key`, or npos when none was ever created.
@@ -130,10 +184,13 @@ class FlatGroupMap {
 
   std::vector<std::size_t> keys_;
   std::vector<std::uint32_t> ctrl_;  ///< group id + 1; 0 = empty slot
-  /// groups_[0, distinct_) are live; later ones are cleared leftovers
-  /// kept for their storage.
+  /// groups_[0, used_) have been handed out (live, or erased and listed
+  /// in free_ids_); later ones are clear() leftovers kept for their
+  /// storage.
   std::vector<Group> groups_;
-  std::size_t distinct_ = 0;
+  std::vector<std::uint32_t> free_ids_;
+  std::size_t used_ = 0;
+  std::size_t live_ = 0;  ///< keys in the table
 };
 
 }  // namespace parulel

@@ -9,6 +9,7 @@
 // tombstones and lookups never degrade under churn.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -80,6 +81,16 @@ class FlatIdMap {
   }
 
   std::size_t size() const { return size_; }
+
+  /// Table slots reserved (the table never shrinks).
+  std::size_t capacity() const { return ctrl_.size(); }
+
+  /// Remove every entry, keeping the table.
+  void clear() {
+    if (size_ == 0) return;
+    std::fill(ctrl_.begin(), ctrl_.end(), 0);
+    size_ = 0;
+  }
 
  private:
   static constexpr std::size_t kInitialTable = 16;

@@ -43,7 +43,8 @@ void WorkingMemory::clear() {
   pending_.clear();
 }
 
-FactId WorkingMemory::assert_fact(TemplateId tmpl, std::vector<Value> slots) {
+FactId WorkingMemory::assert_fact(TemplateId tmpl,
+                                  std::span<const Value> slots) {
   assert(tmpl < schema_.size());
   if (static_cast<int>(slots.size()) != schema_.at(tmpl).arity()) {
     throw RuntimeError("assert arity mismatch for template '" +

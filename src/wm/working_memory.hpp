@@ -22,7 +22,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +51,12 @@ class WorkingMemory {
   explicit WorkingMemory(const Schema& schema);
 
   /// Assert a fact. Returns its new FactId, or kInvalidFact when an alive
-  /// fact with identical content absorbed it (set semantics).
-  FactId assert_fact(TemplateId tmpl, std::vector<Value> slots);
+  /// fact with identical content absorbed it (set semantics). The slots
+  /// are copied into the store; the caller keeps its buffer.
+  FactId assert_fact(TemplateId tmpl, std::span<const Value> slots);
+  FactId assert_fact(TemplateId tmpl, std::initializer_list<Value> slots) {
+    return assert_fact(tmpl, std::span<const Value>(slots.begin(), slots.size()));
+  }
 
   /// Empty the store back to its just-constructed state: no facts, no
   /// pending delta, ids restarting at 1. Capacity is kept, and the cost

@@ -53,7 +53,7 @@ inline std::vector<InstId> reference_redactions(
     if (to_fire.empty()) break;
     std::vector<InstId> newly;
     for (InstId mid : to_fire) {
-      const Instantiation& minst = meta_cs.get(mid);
+      const Instantiation minst = meta_cs.get(mid);
       const CompiledRule& mrule = program.meta_rules[minst.rule];
       rebuild_env(
           mrule, minst.facts, [&](FactId f) { return meta_wm.view(f); }, env);
@@ -145,9 +145,9 @@ inline MetaDrive drive_meta_against_reference(const Program& program,
     }
     MergeResult merged;
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
-      const Instantiation& inst = cs.get(to_fire[i]);
-      drive.firings.push_back(
-          {static_cast<std::uint64_t>(cycle), inst.rule, inst.facts});
+      const Instantiation inst = cs.get(to_fire[i]);
+      drive.firings.push_back({static_cast<std::uint64_t>(cycle), inst.rule,
+                               {inst.facts.begin(), inst.facts.end()}});
       cs.mark_fired(to_fire[i]);
       apply_pending(pending[i], wm, &out, merged);
     }

@@ -145,10 +145,16 @@ TEST(CompileStatsTest, ExecutionCountersAdvance) {
 
 // ------------------------------------------------------------ vm parity
 
-std::vector<Instantiation> conflict_snapshot(Matcher& m) {
-  std::vector<Instantiation> out;
+struct InstCopy {
+  RuleId rule;
+  std::vector<FactId> facts;
+};
+
+std::vector<InstCopy> conflict_snapshot(Matcher& m) {
+  std::vector<InstCopy> out;
   for (const InstId id : m.conflict_set().alive_ids()) {
-    out.push_back(m.conflict_set().get(id));
+    const Instantiation inst = m.conflict_set().get(id);
+    out.push_back({inst.rule, {inst.facts.begin(), inst.facts.end()}});
   }
   return out;
 }

@@ -28,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "distrib/site_journal.hpp"
+#include "lang/parser.hpp"
 #include "service/journal.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -465,6 +467,45 @@ TEST(DurableProtocol, CorruptJournalQuarantinesAndFailsClosed) {
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(after, bytes);
   EXPECT_EQ(svc.journal_stats_snapshot().recovery_failures, 1u);
+}
+
+// A cluster site's WAL records share the session journal's framing, so
+// a session journal can hold one only by mistake or tampering. Recovery
+// must fail closed on it, not skip it and serve a state that silently
+// lacks whatever the record was meant to carry.
+TEST(DurableProtocol, ClusterSiteRecordInSessionJournalFailsClosed) {
+  const Program program = parse_program(kConsumeSource);
+  SiteBatchRecord batch;
+  batch.seq = 1;
+  batch.local.push_back({ClusterOp::Kind::Assert, 0, {Value::integer(4)}});
+  SiteSnapshotRecord snap;
+  snap.seq = 1;
+  const std::pair<const char*, std::string> cases[] = {
+      {"site-batch",
+       encode_site_batch(batch, *program.symbols, program.schema)},
+      {"site-snapshot",
+       encode_site_snapshot(snap, *program.symbols, program.schema)},
+  };
+  for (const auto& [kind, payload] : cases) {
+    SCOPED_TRACE(kind);
+    TempDir dir(std::string("site_record_") + kind);
+    {
+      JournalStats stats;
+      auto journal = SessionJournal::create((dir.path / "s.wal").string(),
+                                            "s", kConsumeSource, false,
+                                            &stats);
+      journal->append(payload);
+    }
+    RuleService svc(durable_config(dir));
+    const std::vector<RecoveryReport> reports = svc.recover_journals();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_FALSE(reports[0].ok);
+    EXPECT_NE(reports[0].error.find(kind), std::string::npos)
+        << reports[0].error;
+    ServeProtocol proto(svc);
+    EXPECT_NE(drive(proto, "resume s").find("journal-corrupt"),
+              std::string::npos);
+  }
 }
 
 TEST(DurableProtocol, CloseUnlinksTheJournal) {

@@ -22,90 +22,107 @@ namespace {
 
 // ---------------------------------------------------------- conflict set
 
-Instantiation make_inst(RuleId rule, std::vector<FactId> facts) {
-  Instantiation inst;
-  inst.rule = rule;
-  inst.facts = std::move(facts);
-  return inst;
-}
+using Facts = std::vector<FactId>;
 
 TEST(ConflictSet, AddAssignsSequentialIds) {
   ConflictSet cs;
-  EXPECT_EQ(cs.add(make_inst(0, {1})), 0u);
-  EXPECT_EQ(cs.add(make_inst(0, {2})), 1u);
+  EXPECT_EQ(cs.add(0, Facts{1}), 0u);
+  EXPECT_EQ(cs.add(0, Facts{2}), 1u);
   EXPECT_EQ(cs.size(), 2u);
 }
 
 TEST(ConflictSet, DuplicateKeysRejected) {
   ConflictSet cs;
-  cs.add(make_inst(0, {1, 2}));
-  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), kInvalidInst);
+  cs.add(0, Facts{1, 2});
+  EXPECT_EQ(cs.add(0, Facts{1, 2}), kInvalidInst);
   // Different rule, same facts: distinct key.
-  EXPECT_NE(cs.add(make_inst(1, {1, 2})), kInvalidInst);
+  EXPECT_NE(cs.add(1, Facts{1, 2}), kInvalidInst);
 }
 
 TEST(ConflictSet, RefractionBlocksReAdd) {
   ConflictSet cs;
-  const InstId id = cs.add(make_inst(0, {1, 2}));
+  const InstId id = cs.add(0, Facts{1, 2});
   cs.mark_fired(id);
   EXPECT_EQ(cs.size(), 0u);
   EXPECT_FALSE(cs.alive(id));
-  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), kInvalidInst);
-  EXPECT_TRUE(cs.has_fired(make_inst(0, {1, 2})));
-  EXPECT_FALSE(cs.has_fired(make_inst(0, {2, 1})));
+  EXPECT_EQ(cs.add(0, Facts{1, 2}), kInvalidInst);
+  EXPECT_TRUE(cs.has_fired(0, Facts{1, 2}));
+  EXPECT_FALSE(cs.has_fired(0, Facts{2, 1}));
 }
 
 TEST(ConflictSet, FiredInstantiationStaysInPlace) {
-  // Refraction keeps the fired entry in its slot and key index, not a
-  // copy: its id still resolves, but it is neither alive nor removable,
-  // and its facts no longer reach it.
+  // Refraction keeps the fired record in place, not a copy: while its
+  // facts live its id still resolves and its key still refracts, but it
+  // is neither alive nor removable, and retracting another
+  // instantiation's fact leaves it alone. Retracting one of its own
+  // facts forgets it: no match of that fact can come back (fact ids are
+  // never reused), so its refraction entry has nothing left to block.
   ConflictSet cs;
-  const InstId id = cs.add(make_inst(0, {1, 2}));
-  const InstId other = cs.add(make_inst(0, {2, 3}));
+  const InstId id = cs.add(0, Facts{1, 2});
+  const InstId other = cs.add(0, Facts{2, 3});
+  const InstId third = cs.add(0, Facts{3, 4});
   cs.mark_fired(id);
-  EXPECT_EQ(cs.get(id).facts, (std::vector<FactId>{1, 2}));
-  EXPECT_FALSE(cs.remove_by_key(make_inst(0, {1, 2})));
-  std::vector<InstId> removed;
-  cs.remove_by_fact(2, &removed);
-  EXPECT_EQ(removed, std::vector<InstId>{other});
-  EXPECT_TRUE(cs.has_fired(make_inst(0, {1, 2})));
-  EXPECT_FALSE(cs.has_fired(make_inst(0, {2, 3})));
-  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), kInvalidInst);
-  EXPECT_NE(cs.add(make_inst(0, {2, 3})), kInvalidInst);
+  EXPECT_TRUE(std::ranges::equal(cs.get(id).facts, Facts{1, 2}));
+  EXPECT_FALSE(cs.remove_by_key(0, Facts{1, 2}));
+  cs.remove(id);  // no-op: fired
+  EXPECT_TRUE(cs.has_fired(0, Facts{1, 2}));
+  EXPECT_EQ(cs.footprint().records, 3u);
+
+  EXPECT_EQ(cs.remove_by_fact(4), 1u);  // `third` only
+  EXPECT_FALSE(cs.alive(third));
+  EXPECT_TRUE(cs.has_fired(0, Facts{1, 2}));
+  EXPECT_EQ(cs.add(0, Facts{1, 2}), kInvalidInst);
+
+  // Fact 2 dies: the alive `other` is removed (and counted), the fired
+  // one is forgotten (and not counted).
+  EXPECT_EQ(cs.remove_by_fact(2), 1u);
+  EXPECT_FALSE(cs.alive(other));
+  EXPECT_FALSE(cs.has_fired(0, Facts{1, 2}));
+  EXPECT_EQ(cs.footprint().records, 0u);
+  EXPECT_EQ(cs.size(), 0u);
 }
 
 TEST(ConflictSet, RemoveDoesNotRefract) {
   ConflictSet cs;
-  const InstId id = cs.add(make_inst(0, {1}));
+  const InstId id = cs.add(0, Facts{1});
   cs.remove(id);
-  EXPECT_NE(cs.add(make_inst(0, {1})), kInvalidInst);
+  EXPECT_NE(cs.add(0, Facts{1}), kInvalidInst);
 }
 
 TEST(ConflictSet, RemoveByFact) {
   ConflictSet cs;
-  cs.add(make_inst(0, {1, 2}));
-  cs.add(make_inst(0, {2, 3}));
-  cs.add(make_inst(0, {3, 4}));
-  std::vector<InstId> removed;
-  cs.remove_by_fact(2, &removed);
-  EXPECT_EQ(removed.size(), 2u);
+  cs.add(0, Facts{1, 2});
+  cs.add(0, Facts{2, 3});
+  cs.add(0, Facts{3, 4});
+  EXPECT_EQ(cs.remove_by_fact(2), 2u);
   EXPECT_EQ(cs.size(), 1u);
+}
+
+TEST(ConflictSet, RemoveByFactCountsSelfJoinOccurrences) {
+  ConflictSet cs;
+  cs.add(0, Facts{5, 5});
+  cs.add(0, Facts{5, 6});
+  const InstId fired = cs.add(1, Facts{5, 5});
+  cs.mark_fired(fired);
+  EXPECT_EQ(cs.remove_by_fact(5), 3u);
+  EXPECT_TRUE(cs.empty());
+  EXPECT_EQ(cs.footprint().records, 0u);
 }
 
 TEST(ConflictSet, RemoveByKey) {
   ConflictSet cs;
-  cs.add(make_inst(0, {1}));
-  EXPECT_TRUE(cs.remove_by_key(make_inst(0, {1})));
-  EXPECT_FALSE(cs.remove_by_key(make_inst(0, {1})));
+  cs.add(0, Facts{1});
+  EXPECT_TRUE(cs.remove_by_key(0, Facts{1}));
+  EXPECT_FALSE(cs.remove_by_key(0, Facts{1}));
   EXPECT_EQ(cs.size(), 0u);
 }
 
 TEST(ConflictSet, OfRuleFiltersAndSorts) {
   ConflictSet cs;
-  cs.add(make_inst(1, {1}));
-  cs.add(make_inst(0, {2}));
-  const InstId dead = cs.add(make_inst(1, {3}));
-  cs.add(make_inst(1, {4}));
+  cs.add(1, Facts{1});
+  cs.add(0, Facts{2});
+  const InstId dead = cs.add(1, Facts{3});
+  cs.add(1, Facts{4});
   cs.remove(dead);
   const auto ids = cs.of_rule(1);
   ASSERT_EQ(ids.size(), 2u);
@@ -114,7 +131,7 @@ TEST(ConflictSet, OfRuleFiltersAndSorts) {
 
 TEST(ConflictSet, AliveIdsAscending) {
   ConflictSet cs;
-  for (int i = 0; i < 10; ++i) cs.add(make_inst(0, {static_cast<FactId>(i + 1)}));
+  for (int i = 0; i < 10; ++i) cs.add(0, Facts{static_cast<FactId>(i + 1)});
   cs.remove(4);
   const auto ids = cs.alive_ids();
   EXPECT_EQ(ids.size(), 9u);
@@ -123,20 +140,49 @@ TEST(ConflictSet, AliveIdsAscending) {
 
 TEST(ConflictSet, ClearForgetsRefractionAndRestartsIds) {
   ConflictSet cs;
-  const InstId a = cs.add(make_inst(0, {1, 2}));
-  cs.add(make_inst(1, {3}));
+  const InstId a = cs.add(0, Facts{1, 2});
+  cs.add(1, Facts{3});
   cs.mark_fired(a);
   cs.clear();
   EXPECT_EQ(cs.size(), 0u);
   EXPECT_EQ(cs.high_water(), 0u);
   EXPECT_TRUE(cs.alive_ids().empty());
-  EXPECT_FALSE(cs.has_fired(make_inst(0, {1, 2})));
+  EXPECT_FALSE(cs.has_fired(0, Facts{1, 2}));
+  EXPECT_EQ(cs.footprint().records, 0u);
   // The fired key is no longer refracted, and ids start over.
-  EXPECT_EQ(cs.add(make_inst(0, {1, 2})), 0u);
-  EXPECT_EQ(cs.add(make_inst(1, {3})), 1u);
-  EXPECT_EQ(cs.add(make_inst(1, {3})), kInvalidInst);
+  EXPECT_EQ(cs.add(0, Facts{1, 2}), 0u);
+  EXPECT_EQ(cs.add(1, Facts{3}), 1u);
+  EXPECT_EQ(cs.add(1, Facts{3}), kInvalidInst);
   cs.remove_by_fact(3);
   EXPECT_EQ(cs.alive_ids(), std::vector<InstId>{0});
+}
+
+TEST(ConflictSet, QuantKeysLeaveWithTheAliveState) {
+  ConflictSet cs;
+  const std::vector<std::size_t> keys{7, 9};
+  const InstId a = cs.add(0, Facts{1}, keys);
+  const InstId b = cs.add(0, Facts{2}, keys);
+  cs.add(1, Facts{3}, keys);  // other rule, same keys
+  EXPECT_EQ(cs.quant_entries(), 6u);
+  std::vector<InstId> seen;
+  cs.for_each_quant(0, 1, 9, [&](InstId id) { seen.push_back(id); });
+  EXPECT_EQ(seen, (std::vector<InstId>{a, b}));
+  seen.clear();
+  cs.for_each_quant(0, 0, 9, [&](InstId id) { seen.push_back(id); });
+  EXPECT_TRUE(seen.empty());  // key 9 is CE 1's, not CE 0's
+
+  // Removal from inside the visit: both are still visited at most once.
+  seen.clear();
+  cs.for_each_quant(0, 0, 7, [&](InstId id) {
+    seen.push_back(id);
+    cs.remove(b);
+  });
+  EXPECT_EQ(seen, std::vector<InstId>{a});
+  cs.mark_fired(a);
+  EXPECT_EQ(cs.quant_entries(), 2u);
+  seen.clear();
+  cs.for_each_quant(0, 0, 7, [&](InstId id) { seen.push_back(id); });
+  EXPECT_TRUE(seen.empty());
 }
 
 // The alive list (ids retired since the last purge stay listed) must
@@ -148,12 +194,11 @@ TEST(ConflictSet, AliveListAgreesWithBruteForceScan) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 2654435761u + 1);
     ConflictSet cs;
-    auto random_inst = [&] {
-      std::vector<FactId> facts;
+    auto random_facts = [&] {
+      Facts facts;
       const auto n = 1 + rng.below(3);  // self-joins repeat a fact
       for (std::uint64_t i = 0; i < n; ++i) facts.push_back(1 + rng.below(24));
-      return make_inst(static_cast<RuleId>(rng.below(kRules)),
-                       std::move(facts));
+      return facts;
     };
     for (int op = 0; op < 1500; ++op) {
       std::vector<InstId> alive;
@@ -161,12 +206,13 @@ TEST(ConflictSet, AliveListAgreesWithBruteForceScan) {
         if (cs.alive(id)) alive.push_back(id);
       }
       const auto roll = rng.below(100);
+      const auto rule = static_cast<RuleId>(rng.below(kRules));
       if (roll < 40) {
-        cs.add(random_inst());
+        cs.add(rule, random_facts());
       } else if (roll < 55) {
         cs.remove(rng.below(cs.high_water() + 1));
       } else if (roll < 70) {
-        cs.remove_by_key(random_inst());
+        cs.remove_by_key(rule, random_facts());
       } else if (roll < 80) {
         cs.remove_by_fact(1 + rng.below(24));
       } else if (roll < 99) {
@@ -193,6 +239,196 @@ TEST(ConflictSet, AliveListAgreesWithBruteForceScan) {
       }
     }
   }
+}
+
+// Differential test against a brute-force model of the conflict set's
+// contract as the engines see it: every instantiation ever added is
+// remembered, a fired one refracts its key forever, and remove_by_fact
+// counts the alive holders once per occurrence. The engines never bring
+// a retracted fact back (fact ids are not reused), and under that
+// invariant forgetting a fired instantiation at its first fact's death
+// must be unobservable — which this test checks, with the model never
+// forgetting anything.
+TEST(ConflictSet, MatchesBruteForceModelWhenRetractedFactsStayDead) {
+  struct ModelInst {
+    RuleId rule;
+    Facts facts;
+    std::vector<std::size_t> keys;
+    enum { Alive, Fired, Removed } state;
+  };
+  constexpr RuleId kRules = 3;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + 7);
+    ConflictSet cs;
+    std::vector<ModelInst> model;  // index == InstId
+    std::vector<FactId> live;      // facts that may appear in new adds
+    FactId next_fact = 1;
+    for (int i = 0; i < 6; ++i) live.push_back(next_fact++);
+
+    auto holds = [](const ModelInst& m, FactId f) {
+      return std::ranges::count(m.facts, f);
+    };
+    auto random_key = [&](RuleId& rule, Facts& facts) {
+      rule = static_cast<RuleId>(rng.below(kRules));
+      facts.clear();
+      // Rule r has r + 1 positions; draws repeat facts (self-joins).
+      for (RuleId p = 0; p <= rule; ++p) {
+        facts.push_back(live[rng.below(live.size())]);
+      }
+    };
+    auto model_find = [&](RuleId rule, const Facts& facts) -> InstId {
+      for (InstId id = 0; id < model.size(); ++id) {
+        if (model[id].state != ModelInst::Removed && model[id].rule == rule &&
+            model[id].facts == facts) {
+          return id;
+        }
+      }
+      return kInvalidInst;
+    };
+
+    for (int op = 0; op < 2000; ++op) {
+      const auto roll = rng.below(100);
+      RuleId rule;
+      Facts facts;
+      random_key(rule, facts);
+      if (roll < 40) {
+        // Rule r carries r quantified-CE keys from a small domain.
+        std::vector<std::size_t> keys;
+        for (RuleId n = 0; n < rule; ++n) keys.push_back(rng.below(3));
+        const InstId expect = model_find(rule, facts) == kInvalidInst
+                                  ? static_cast<InstId>(model.size())
+                                  : kInvalidInst;
+        ASSERT_EQ(cs.add(rule, facts, keys), expect) << "op " << op;
+        if (expect != kInvalidInst) {
+          model.push_back({rule, facts, keys, ModelInst::Alive});
+        }
+      } else if (roll < 50) {
+        const InstId id = model_find(rule, facts);
+        const bool expect =
+            id != kInvalidInst && model[id].state == ModelInst::Alive;
+        ASSERT_EQ(cs.remove_by_key(rule, facts), expect) << "op " << op;
+        if (expect) model[id].state = ModelInst::Removed;
+      } else if (roll < 60) {
+        const InstId id = rng.below(model.size() + 1);
+        cs.remove(id);
+        if (id < model.size() && model[id].state == ModelInst::Alive) {
+          model[id].state = ModelInst::Removed;
+        }
+      } else if (roll < 80) {
+        std::vector<InstId> alive;
+        for (InstId id = 0; id < model.size(); ++id) {
+          if (model[id].state == ModelInst::Alive) alive.push_back(id);
+        }
+        if (!alive.empty()) {
+          const InstId id = alive[rng.below(alive.size())];
+          cs.mark_fired(id);
+          model[id].state = ModelInst::Fired;
+        }
+      } else {
+        // Retract a live fact for good; a fresh one takes its place.
+        const std::size_t pos = rng.below(live.size());
+        const FactId dead = live[pos];
+        live[pos] = next_fact++;
+        std::size_t expect = 0;
+        for (ModelInst& m : model) {
+          if (m.state == ModelInst::Alive && holds(m, dead) > 0) {
+            expect += static_cast<std::size_t>(holds(m, dead));
+            m.state = ModelInst::Removed;
+          }
+        }
+        ASSERT_EQ(cs.remove_by_fact(dead), expect) << "op " << op;
+      }
+
+      // Readers agree with the model.
+      std::vector<InstId> alive;
+      std::size_t keys_held = 0;
+      std::size_t refracting = 0;
+      for (InstId id = 0; id < model.size(); ++id) {
+        const ModelInst& m = model[id];
+        if (m.state == ModelInst::Alive) {
+          alive.push_back(id);
+          keys_held += m.keys.size();
+        }
+        const bool all_live = std::ranges::all_of(m.facts, [&](FactId f) {
+          return std::ranges::find(live, f) != live.end();
+        });
+        if (m.state == ModelInst::Fired && all_live) ++refracting;
+      }
+      ASSERT_EQ(cs.alive_ids(), alive) << "op " << op;
+      ASSERT_EQ(cs.size(), alive.size());
+      ASSERT_EQ(cs.quant_entries(), keys_held);
+      // Storage holds the alive and the still-refracting, nothing more.
+      ASSERT_EQ(cs.footprint().records, alive.size() + refracting);
+      for (const InstId id : alive) {
+        const Instantiation inst = cs.get(id);
+        ASSERT_EQ(inst.rule, model[id].rule);
+        ASSERT_TRUE(std::ranges::equal(inst.facts, model[id].facts));
+      }
+      for (RuleId r = 0; r < kRules; ++r) {
+        std::vector<InstId> of_rule;
+        for (InstId id : alive) {
+          if (model[id].rule == r) of_rule.push_back(id);
+        }
+        ASSERT_EQ(cs.of_rule(r), of_rule);
+        for (RuleId n = 0; n < r; ++n) {
+          for (std::size_t key = 0; key < 3; ++key) {
+            std::vector<InstId> want;
+            for (InstId id : of_rule) {
+              if (model[id].keys[n] == key) want.push_back(id);
+            }
+            std::vector<InstId> got;
+            cs.for_each_quant(r, n, key, [&](InstId id) { got.push_back(id); });
+            std::ranges::sort(got);
+            ASSERT_EQ(got, want) << "rule " << r << " ce " << n;
+          }
+        }
+      }
+      // Refraction: a fired key stays rejected while its facts live.
+      random_key(rule, facts);
+      const InstId id = model_find(rule, facts);
+      ASSERT_EQ(cs.has_fired(rule, facts),
+                id != kInvalidInst && model[id].state == ModelInst::Fired);
+    }
+  }
+}
+
+// A long-lived set with a small live population stays small: a million
+// add/fire/retract rounds with at most 64 instantiations live leave the
+// records, the quantifier index and every reserved table about where
+// ten thousand rounds put them.
+TEST(ConflictSet, MemoryStaysBoundedOverAMillionRounds) {
+  constexpr FactId kWindow = 32;  // facts live this many rounds
+  ConflictSet cs;
+  FactId next = 1;
+  std::size_t peak_records = 0;
+  ConflictSet::Footprint warm;
+  const std::size_t keys[2] = {3, 5};
+  for (int round = 0; round < 1'000'000; ++round) {
+    const FactId f = next++;
+    const auto rule = static_cast<RuleId>(round % 3);
+    // Two instantiations per new fact: one joined with an older fact,
+    // one a self-join; half of them fire.
+    const FactId older = f > kWindow / 2 ? f - kWindow / 2 : f;
+    const Facts pair{older, f};
+    const Facts self{f, f};
+    const InstId a =
+        cs.add(rule, pair, std::span<const std::size_t>(keys, rule));
+    const InstId b = cs.add(rule, self);
+    if (round % 2 == 0 && a != kInvalidInst) cs.mark_fired(a);
+    if (round % 3 == 0 && b != kInvalidInst) cs.mark_fired(b);
+    if (f > kWindow) cs.remove_by_fact(f - kWindow);
+    peak_records = std::max(peak_records, cs.footprint().records);
+    if (round == 10'000) warm = cs.footprint();
+  }
+  EXPECT_LE(cs.size(), 64u);
+  EXPECT_LE(peak_records, 2 * kWindow + 2);
+  EXPECT_LE(cs.quant_entries(), 2 * 64u);
+  // Vector doubling may still round a table up once (key-hash
+  // collisions shift the group count a little), but nothing grows with
+  // the rounds: 990,000 more of them must not even double the tables.
+  EXPECT_LE(cs.footprint().reserved, 2 * warm.reserved);
+  EXPECT_LE(warm.reserved, 2'000u);
 }
 
 // -------------------------------------------------------------- matchers
@@ -617,7 +853,7 @@ TEST(TreatClear, ReplaysLikeAFreshMatcher) {
                     m.stats().derive_rejects, m.stats().full_rematches,
                     m.quant_entries()};
       m.conflict_set().for_each([&](const Instantiation& inst) {
-        snap.cs.emplace_back(inst.id, inst.facts);
+        snap.cs.emplace_back(inst.id, Facts(inst.facts.begin(), inst.facts.end()));
       });
       out.push_back(std::move(snap));
     };

@@ -19,11 +19,8 @@ std::vector<CompiledRule> rules_with_salience(std::vector<int> saliences) {
   return rules;
 }
 
-Instantiation inst(RuleId rule, std::vector<FactId> facts) {
-  Instantiation i;
-  i.rule = rule;
-  i.facts = std::move(facts);
-  return i;
+InstId add(ConflictSet& cs, RuleId rule, std::vector<FactId> facts) {
+  return cs.add(rule, facts);
 }
 
 TEST(Strategy, EmptyConflictSetSelectsNothing) {
@@ -37,8 +34,8 @@ TEST(Strategy, EmptyConflictSetSelectsNothing) {
 TEST(Strategy, FirstIsFifo) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
-  const InstId a = cs.add(inst(0, {5}));
-  cs.add(inst(0, {9}));
+  const InstId a = add(cs, 0, {5});
+  add(cs, 0, {9});
   Rng rng(1);
   EXPECT_EQ(select_instantiation(cs, rules, Strategy::First, rng), a);
 }
@@ -46,9 +43,9 @@ TEST(Strategy, FirstIsFifo) {
 TEST(Strategy, LexPrefersMostRecentTimeTag) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
-  cs.add(inst(0, {1, 2}));
-  const InstId recent = cs.add(inst(0, {1, 9}));
-  cs.add(inst(0, {3, 4}));
+  add(cs, 0, {1, 2});
+  const InstId recent = add(cs, 0, {1, 9});
+  add(cs, 0, {3, 4});
   Rng rng(1);
   EXPECT_EQ(select_instantiation(cs, rules, Strategy::Lex, rng), recent);
 }
@@ -57,8 +54,8 @@ TEST(Strategy, LexComparesFullSortedTagVectors) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
   // Both contain 9; second tag breaks the tie: {9,7} > {9,2}.
-  cs.add(inst(0, {9, 2}));
-  const InstId winner = cs.add(inst(0, {7, 9}));
+  add(cs, 0, {9, 2});
+  const InstId winner = add(cs, 0, {7, 9});
   Rng rng(1);
   EXPECT_EQ(select_instantiation(cs, rules, Strategy::Lex, rng), winner);
 }
@@ -66,8 +63,8 @@ TEST(Strategy, LexComparesFullSortedTagVectors) {
 TEST(Strategy, LexPrefixTieGoesToFewerConditions) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
-  const InstId shorter = cs.add(inst(0, {9}));
-  cs.add(inst(0, {9, 1}));
+  const InstId shorter = add(cs, 0, {9});
+  add(cs, 0, {9, 1});
   Rng rng(1);
   EXPECT_EQ(select_instantiation(cs, rules, Strategy::Lex, rng), shorter);
 }
@@ -76,8 +73,8 @@ TEST(Strategy, MeaFirstConditionDominates) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
   // LEX would pick {3, 99}; MEA keys on the FIRST CE's tag: 7 > 3.
-  cs.add(inst(0, {3, 99}));
-  const InstId mea_winner = cs.add(inst(0, {7, 8}));
+  add(cs, 0, {3, 99});
+  const InstId mea_winner = add(cs, 0, {7, 8});
   Rng rng(1);
   EXPECT_EQ(select_instantiation(cs, rules, Strategy::Mea, rng),
             mea_winner);
@@ -89,8 +86,8 @@ TEST(Strategy, MeaFirstConditionDominates) {
 TEST(Strategy, SalienceDominatesEveryStrategy) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0, 100});
-  cs.add(inst(0, {99, 98}));              // recent but low salience
-  const InstId important = cs.add(inst(1, {1}));  // stale, high salience
+  add(cs, 0, {99, 98});              // recent but low salience
+  const InstId important = add(cs, 1, {1});  // stale, high salience
   for (Strategy s : {Strategy::First, Strategy::Lex, Strategy::Mea,
                      Strategy::Random}) {
     Rng rng(7);
@@ -102,7 +99,7 @@ TEST(Strategy, SalienceDominatesEveryStrategy) {
 TEST(Strategy, RandomIsSeedDeterministicAndInSet) {
   ConflictSet cs;
   const auto rules = rules_with_salience({0});
-  for (FactId f = 1; f <= 10; ++f) cs.add(inst(0, {f}));
+  for (FactId f = 1; f <= 10; ++f) add(cs, 0, {f});
   Rng rng_a(42), rng_b(42);
   for (int i = 0; i < 20; ++i) {
     const InstId a = select_instantiation(cs, rules, Strategy::Random, rng_a);
