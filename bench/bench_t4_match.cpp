@@ -1,5 +1,4 @@
-// R-T4 — Match algorithm comparison: RETE vs TREAT vs parallel TREAT
-// vs the compiled bytecode VM.
+// R-T4 — Match algorithm comparison: RETE vs TREAT vs parallel TREAT.
 //
 // Google-benchmark microbenches over the synthetic join chain and the
 // real workloads: time to fold the initial fact set into the conflict

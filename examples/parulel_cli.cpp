@@ -114,7 +114,7 @@ struct Options {
   parulel::MatcherKind seq_matcher = parulel::MatcherKind::Rete;
   bool matcher_explicit = false;
   std::uint64_t max_cycles = 1'000'000;
-  bool trace = false, dump_wm = false, metrics = false, compile_dump = false;
+  bool trace = false, dump_wm = false, metrics = false;
   std::string trace_json_path, metrics_json_path;
   unsigned sites = 4;
   std::unordered_map<std::string, std::string> partition;
@@ -192,7 +192,7 @@ const FlagSpec kFlags[] = {
        else if (v == "random") o.strategy = parulel::Strategy::Random;
        else throw UsageError("unknown strategy '" + v + "'");
      }},
-    {"--matcher", "rete|treat|compiled", kRun,
+    {"--matcher", "rete|treat|parallel-treat", kRun,
      "match algorithm (default: rete for seq, parallel-treat for par)",
      [](Options& o, const std::string& v) {
        const auto kind = parulel::parse_matcher_kind(v);
@@ -200,9 +200,6 @@ const FlagSpec kFlags[] = {
        o.seq_matcher = *kind;
        o.matcher_explicit = true;
      }},
-    {"--compile-dump", nullptr, kRun,
-     "print the compiled bytecode listing and exit without running",
-     [](Options& o, const std::string&) { o.compile_dump = true; }},
     {"--max-cycles", "N", kRun, "cycle cap (default 1000000)",
      [](Options& o, const std::string& v) {
        o.max_cycles = parse_count("--max-cycles", v);
@@ -434,8 +431,8 @@ void print_usage(std::ostream& os) {
         modes += mode_name(m);
       }
     }
-    os << "  " << left;
-    for (std::size_t i = left.size(); i < 34; ++i) os << ' ';
+    os << "  " << left << ' ';
+    for (std::size_t i = left.size() + 1; i < 34; ++i) os << ' ';
     os << "[" << modes << "] " << f.help << "\n";
   }
 }
@@ -778,13 +775,6 @@ int run_cli(const Options& opt) {
   buffer << in.rdbuf();
 
   const parulel::Program program = parulel::parse_program(buffer.str());
-  if (opt.compile_dump) {
-    // Print the bytecode listing the compiled matcher would execute and
-    // stop: the listing is deterministic, so it can be diffed across
-    // runs (the run summary cannot — it carries wall-clock times).
-    std::cout << parulel::compile_listing(program);
-    return kExitOk;
-  }
   std::cout << "loaded: " << program.rules.size() << " rules, "
             << program.meta_rules.size() << " meta-rules, "
             << program.schema.size() << " templates, "

@@ -67,7 +67,7 @@ std::pair<TemplateId, std::vector<Value>> decode_fact_wire(
       throw RuntimeError("cluster wire fact names unknown template '" + name +
                          "' (peer runs a different program?)");
     }
-    std::vector<Value> slots(r.u32());
+    std::vector<Value> slots(r.count(service::kMinValueBytes));
     for (Value& v : slots) v = service::decode_value(r, symbols);
     r.finish();
     return {*tmpl, std::move(slots)};

@@ -155,9 +155,6 @@ RunStats ParallelEngine::run() {
     if (config_.metrics) {
       stats.publish(*config_.metrics);
       obs::publish_match_stats(*config_.metrics, matcher_->stats());
-      if (const CompileStats* cstats = matcher_->compile_stats()) {
-        cstats->publish(*config_.metrics);
-      }
       obs::publish_pool_stats(*config_.metrics, pool_->stats());
       config_.metrics->set("engine.threads", pool_->thread_count());
     }

@@ -97,9 +97,6 @@ RunStats SequentialEngine::run() {
     if (config_.metrics) {
       stats.publish(*config_.metrics);
       obs::publish_match_stats(*config_.metrics, matcher_->stats());
-      if (const CompileStats* cstats = matcher_->compile_stats()) {
-        cstats->publish(*config_.metrics);
-      }
       config_.metrics->set("engine.threads", 1);
     }
   })

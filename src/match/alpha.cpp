@@ -84,11 +84,6 @@ void AlphaMemory::clear() {
   }
 }
 
-void AlphaMemory::probe(int index_handle, std::span<const Value> key_values,
-                        std::vector<FactRow>& out) const {
-  probe_hash(index_handle, join_key_hash(key_values), out);
-}
-
 AlphaStore::AlphaStore(std::span<const AlphaSpec> specs,
                        std::size_t template_count)
     : specs_(specs.begin(), specs.end()),

@@ -24,9 +24,9 @@
 namespace parulel {
 
 /// Seed for join-key hashing. Anyone composing a key hash out of cached
-/// per-value hashes (the compiled VM, the interpreter's probe path)
-/// must start from this seed and use hash_combine, or their probes miss
-/// the index.
+/// per-value hashes (the join's probe path, RETE's token probes) must
+/// start from this seed and use hash_combine, or their probes miss the
+/// index.
 inline constexpr std::size_t kJoinKeySeed = 0x2545f4914f6cdd1dULL;
 
 /// Hash of a tuple of slot values (the join key).
@@ -62,18 +62,13 @@ class AlphaMemory {
   const std::vector<FactRow>& rows() const { return rows_; }
   std::size_t size() const { return rows_.size(); }
 
-  /// Candidate rows whose indexed slots equal `key_values`
-  /// (values ordered as the index's slot list). May contain hash-collision
-  /// false positives — callers re-verify slot equality. Candidates come
-  /// back in alpha-memory insertion order (deterministic).
-  void probe(int index_handle, std::span<const Value> key_values,
-             std::vector<FactRow>& out) const;
-
   /// One join-index group: fact rows in insertion order, small sizes
   /// stored inline.
   using Group = FlatGroupMap<FactRow>::Group;
 
-  /// Candidates for a precomputed key hash, appended to `out`.
+  /// Candidates for a precomputed key hash, appended to `out` in
+  /// insertion order. May hold hash-collision false positives: callers
+  /// re-verify slot equality.
   void probe_hash(int index_handle, std::size_t hash,
                   std::vector<FactRow>& out) const {
     const Index& index = indexes_[static_cast<std::size_t>(index_handle)];
@@ -109,11 +104,6 @@ class AlphaMemory {
     const Group& g = index.map.group(gid);
     const bool pure = index.canon_pure[gid] != 0 && !g.empty();
     return {&g, pure ? *g.begin() : kNoFactRow, index.slots.data()};
-  }
-
-  /// The slot list of an index (for computing key values from an env).
-  const std::vector<int>& index_slots(int index_handle) const {
-    return indexes_[static_cast<std::size_t>(index_handle)].slots;
   }
 
  private:

@@ -226,6 +226,7 @@ std::vector<InstId> ConflictSet::alive_ids() const {
 ConflictSet::Footprint ConflictSet::footprint() const {
   Footprint fp;
   fp.records = slot_of_.size();
+  fp.key_groups = by_key_.size();
   fp.reserved = recs_.capacity() + free_slots_.capacity() +
                 words_.capacity() + free_blocks_.capacity() +
                 slot_of_.capacity() + listed_.capacity() +

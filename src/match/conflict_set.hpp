@@ -137,8 +137,9 @@ class ConflictSet {
   /// What the set holds and has reserved. Both are bounded by the peak
   /// of alive + refracting instantiations, not by high_water().
   struct Footprint {
-    std::size_t records = 0;   ///< alive + fired-and-still-refracting
-    std::size_t reserved = 0;  ///< elements reserved across its tables
+    std::size_t records = 0;     ///< alive + fired-and-still-refracting
+    std::size_t key_groups = 0;  ///< distinct key hashes among them
+    std::size_t reserved = 0;    ///< elements reserved across its tables
   };
   Footprint footprint() const;
 

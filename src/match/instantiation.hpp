@@ -31,10 +31,12 @@ struct Instantiation {
 };
 
 /// Structural key hash (rule + facts). The id does not participate, so a
-/// regenerated match of the same facts dedupes/refracts correctly.
+/// regenerated match of the same facts dedupes/refracts correctly. Fact
+/// ids are small consecutive integers, so each is mixed before it is
+/// combined: combined raw, neighbouring id tuples collide.
 inline std::size_t inst_key_hash(RuleId rule, std::span<const FactId> facts) {
   std::size_t h = std::hash<std::uint32_t>{}(rule);
-  for (FactId f : facts) h = hash_combine(h, std::hash<std::uint64_t>{}(f));
+  for (FactId f : facts) h = hash_combine(h, detail::mix64(f));
   return h;
 }
 

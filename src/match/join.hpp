@@ -133,7 +133,7 @@ struct DeriveWindow {
   int seed_pos = 0;                   ///< positive position it fills
 };
 
-/// Reusable DFS buffers for JoinEngine::enumerate/derive/
+/// Reusable DFS buffers for JoinEngine::derive/exists/
 /// enumerate_unblocked. Callers that enumerate in a loop keep one of
 /// these per thread so the per-call vectors stop hitting the allocator.
 struct JoinScratch {
@@ -153,34 +153,6 @@ class JoinEngine {
   const AlphaStore& alphas() const { return alphas_; }
   const RulePlan& plan(RuleId rule) const { return plans_[rule]; }
   const std::vector<RulePlan>& plans() const { return plans_; }
-
-  /// Enumerate instantiations of `rule`. When fixed_pos >= 0, only
-  /// instantiations with `fixed_fact` at that position are produced
-  /// (seminaive derivation). `constraints` pins rule variables to given
-  /// values; bindings that disagree are pruned as soon as the variable
-  /// is defined. emit(facts, env) is called per match; the spans are
-  /// only valid during the call.
-  template <typename Emit>
-  void enumerate(const WorkingMemory& wm, RuleId rule, int fixed_pos,
-                 FactId fixed_fact, Emit&& emit,
-                 std::span<const VarConstraint> constraints = {}) const {
-    JoinScratch scratch;
-    enumerate(wm, rule, fixed_pos, fixed_fact, scratch,
-              std::forward<Emit>(emit), constraints);
-  }
-
-  /// enumerate() with caller-owned DFS buffers (hot loops).
-  template <typename Emit>
-  void enumerate(const WorkingMemory& wm, RuleId rule, int fixed_pos,
-                 FactId fixed_fact, JoinScratch& scratch, Emit&& emit,
-                 std::span<const VarConstraint> constraints = {}) const {
-    const CompiledRule& r = rules_[rule];
-    const RulePlan& plan = plans_[rule];
-    scratch.env.assign(static_cast<std::size_t>(r.num_vars), Value{});
-    scratch.facts.assign(r.positives.size(), kInvalidFact);
-    dfs(wm, r, plan, 0, fixed_pos, fixed_fact, constraints, nullptr,
-        scratch.env, scratch.facts, emit);
-  }
 
   /// Seminaive derivation: the instantiations of `rule` containing
   /// `win.seed` at positive position `win.seed_pos` that no earlier
@@ -227,17 +199,8 @@ class JoinEngine {
   /// Re-derive the instantiations of `rule` that the retraction of
   /// `blocker` (a fact that matched negated CE `neg_index`) may have
   /// enabled. Only bindings agreeing with the blocker's join key are
-  /// enumerated, probing position 0 by index when possible.
-  template <typename Emit>
-  void enumerate_unblocked(const WorkingMemory& wm, RuleId rule,
-                           std::size_t neg_index, const FactView& blocker,
-                           Emit&& emit) const {
-    JoinScratch scratch;
-    enumerate_unblocked(wm, rule, neg_index, blocker, scratch,
-                        std::forward<Emit>(emit));
-  }
-
-  /// enumerate_unblocked() with caller-owned DFS buffers.
+  /// enumerated, probing position 0 by index when possible. `scratch`
+  /// holds the DFS buffers.
   template <typename Emit>
   void enumerate_unblocked(const WorkingMemory& wm, RuleId rule,
                            std::size_t neg_index, const FactView& blocker,
@@ -273,8 +236,7 @@ class JoinEngine {
 
     scratch.env.assign(static_cast<std::size_t>(r.num_vars), Value{});
     scratch.facts.assign(r.positives.size(), kInvalidFact);
-    dfs(wm, r, plan, 0, /*fixed_pos=*/-1, kInvalidFact, pins, probe_ptr,
-        scratch.env, scratch.facts, emit);
+    dfs(wm, r, plan, 0, pins, probe_ptr, scratch.env, scratch.facts, emit);
   }
 
   /// True when every quantified CE of `rule` is satisfied under the
@@ -401,8 +363,8 @@ class JoinEngine {
 
   template <typename Emit>
   void dfs(const WorkingMemory& wm, const CompiledRule& r,
-           const RulePlan& plan, std::size_t p, int fixed_pos,
-           FactId fixed_fact, std::span<const VarConstraint> constraints,
+           const RulePlan& plan, std::size_t p,
+           std::span<const VarConstraint> constraints,
            const Pos0Probe* probe0, std::vector<Value>& env,
            std::vector<FactId>& facts, Emit&& emit) const {
     if (p == r.positives.size()) {
@@ -441,15 +403,9 @@ class JoinEngine {
         if (!CompiledExpr::truthy(guard.eval(env))) return;
       }
       facts[p] = fact.id();
-      dfs(wm, r, plan, p + 1, fixed_pos, fixed_fact, constraints, probe0,
-          env, facts, emit);
+      dfs(wm, r, plan, p + 1, constraints, probe0, env, facts, emit);
     };
 
-    if (static_cast<int>(p) == fixed_pos) {
-      // The fixed fact must already be in this alpha (caller routed it).
-      try_fact(store.row_of(fixed_fact), false);
-      return;
-    }
     if (p == 0 && probe0 != nullptr) {
       // Constrained re-derivation: probe position 0 by the pinned slots.
       if (const AlphaMemory::Group* g = mem.probe_group(

@@ -1,6 +1,5 @@
 #include "match/matcher.hpp"
 
-#include "compile/vm.hpp"
 #include "lang/program.hpp"
 #include "match/parallel_treat.hpp"
 #include "match/rete.hpp"
@@ -14,7 +13,6 @@ const char* matcher_kind_name(MatcherKind kind) {
     case MatcherKind::Rete: return "rete";
     case MatcherKind::Treat: return "treat";
     case MatcherKind::ParallelTreat: return "parallel-treat";
-    case MatcherKind::Compiled: return "compiled";
   }
   return "unknown";
 }
@@ -23,14 +21,12 @@ std::optional<MatcherKind> parse_matcher_kind(std::string_view name) {
   if (name == "rete") return MatcherKind::Rete;
   if (name == "treat") return MatcherKind::Treat;
   if (name == "parallel-treat") return MatcherKind::ParallelTreat;
-  if (name == "compiled") return MatcherKind::Compiled;
   return std::nullopt;
 }
 
 std::span<const MatcherKind> all_matcher_kinds() {
   static constexpr MatcherKind kKinds[] = {
-      MatcherKind::Rete, MatcherKind::Treat, MatcherKind::ParallelTreat,
-      MatcherKind::Compiled};
+      MatcherKind::Rete, MatcherKind::Treat, MatcherKind::ParallelTreat};
   return kKinds;
 }
 
@@ -51,9 +47,6 @@ std::unique_ptr<Matcher> make_matcher(MatcherKind kind,
       }
       return std::make_unique<ParallelTreatMatcher>(
           program.rules, program.alphas, program.schema.size(), *pool);
-    case MatcherKind::Compiled:
-      return std::make_unique<CompiledMatcher>(program.rules, program.alphas,
-                                               program.schema.size());
   }
   throw RuntimeError("unknown matcher kind");
 }

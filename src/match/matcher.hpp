@@ -22,15 +22,14 @@ namespace parulel {
 
 class ThreadPool;
 struct Program;
-struct CompileStats;
 
 /// Which match algorithm to construct. The single source of truth for
 /// the string spelling is matcher_kind_name()/parse_matcher_kind();
 /// construction goes through make_matcher() below — engines, the CLI,
 /// the service layer, benches, and tests all share one switch.
-enum class MatcherKind : std::uint8_t { Rete, Treat, ParallelTreat, Compiled };
+enum class MatcherKind : std::uint8_t { Rete, Treat, ParallelTreat };
 
-/// Stable export/CLI name: "rete", "treat", "parallel-treat", "compiled".
+/// Stable export/CLI name: "rete", "treat", "parallel-treat".
 const char* matcher_kind_name(MatcherKind kind);
 
 /// Inverse of matcher_kind_name(); nullopt for unknown spellings.
@@ -57,14 +56,6 @@ struct MatchStats {
 
   /// Approximate resident state in entries (beta tokens or conflict set).
   std::uint64_t state_entries = 0;
-
-  /// Nanoseconds spent on shared alpha-memory upkeep for added facts
-  /// (discrimination routing + memory insertion). This code path is
-  /// identical across engines, so wall time minus upkeep isolates an
-  /// engine's own match work — the number the T6 bench compares.
-  /// Stays 0 for engines that don't report the split (RETE interleaves
-  /// token building with insertion).
-  std::uint64_t alpha_upkeep_ns = 0;
 
   /// Externally injected batches folded in via apply_external_delta
   /// (service layer). Stays 0 on pure batch runs; on a retained session
@@ -98,10 +89,6 @@ class Matcher {
 
   virtual const MatchStats& stats() const = 0;
   virtual const char* name() const = 0;
-
-  /// Rule-compiler counters, non-null only for the compiled matcher
-  /// (engines publish them under "compile." when present).
-  virtual const CompileStats* compile_stats() const { return nullptr; }
 
  protected:
   /// Mutable counter access for the base-class external-delta hook.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <functional>
 
 namespace parulel {
@@ -65,7 +64,6 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
   // 2. Additions into alpha memories first, so derivations see the
   // complete post-delta state for joins and quantifier checks. The
   // alpha tests run once per fact; the hit lists feed steps 3 and 4.
-  const auto upkeep_start = std::chrono::steady_clock::now();
   added_alphas_.clear();
   added_offsets_.clear();
   for (FactId fid : delta.added) {
@@ -79,10 +77,6 @@ void TreatMatcher::apply_delta(const WorkingMemory& wm, const Delta& delta) {
     }
   }
   added_offsets_.push_back(added_alphas_.size());
-  stats_.alpha_upkeep_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - upkeep_start)
-          .count());
 
   // 3. New facts in quantified alphas: (not ...) invalidates existing
   // matches; (exists ...) may enable new ones.

@@ -157,16 +157,6 @@ void ClusterStats::publish(obs::MetricsRegistry& registry,
   }
 }
 
-void CompileStats::publish(obs::MetricsRegistry& registry,
-                           std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::compile_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
-}
-
 namespace obs {
 
 namespace {
@@ -329,22 +319,6 @@ constexpr FieldDef<ClusterStats> kClusterFields[] = {
     {"firings", &ClusterStats::firings},
 };
 
-constexpr FieldDef<CompileStats> kCompileFields[] = {
-    {"codegen_ns", &CompileStats::codegen_ns},
-    {"code_bytes", &CompileStats::code_bytes},
-    {"instructions", &CompileStats::instructions},
-    {"const_pool", &CompileStats::const_pool},
-    {"expr_pool", &CompileStats::expr_pool},
-    {"programs", &CompileStats::programs},
-    {"net_nodes", &CompileStats::net_nodes},
-    {"net_shared", &CompileStats::net_shared},
-    {"dispatches", &CompileStats::dispatches},
-    {"net_runs", &CompileStats::net_runs},
-    {"derive_runs", &CompileStats::derive_runs},
-    {"rematch_runs", &CompileStats::rematch_runs},
-    {"quant_checks", &CompileStats::quant_checks},
-    {"emits", &CompileStats::emits},
-};
 
 }  // namespace
 
@@ -370,10 +344,6 @@ std::span<const FieldDef<ReplStats>> repl_fields() { return kReplFields; }
 
 std::span<const FieldDef<ClusterStats>> cluster_fields() {
   return kClusterFields;
-}
-
-std::span<const FieldDef<CompileStats>> compile_fields() {
-  return kCompileFields;
 }
 
 }  // namespace obs

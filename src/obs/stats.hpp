@@ -311,36 +311,6 @@ struct ClusterStats {
                std::string_view prefix = "cluster.") const;
 };
 
-/// Rule-compiler accounting (src/compile/): one-shot codegen figures
-/// filled when the bytecode image is built, plus cumulative VM dispatch
-/// counters. Engines publish it whenever their matcher exposes one
-/// (Matcher::compile_stats()); the compile_fields() table feeds metrics
-/// publication and the bench JSON rows like every other stat family.
-struct CompileStats {
-  // Codegen (set once, at matcher construction).
-  std::uint64_t codegen_ns = 0;     ///< wall time of the lowering pass
-  std::uint64_t code_bytes = 0;     ///< serialized image size
-  std::uint64_t instructions = 0;   ///< total emitted instructions
-  std::uint64_t const_pool = 0;     ///< literal pool entries
-  std::uint64_t expr_pool = 0;      ///< guard-expression pool entries
-  std::uint64_t programs = 0;       ///< derive + rematch programs emitted
-  std::uint64_t net_nodes = 0;      ///< discrimination-net test states
-  std::uint64_t net_shared = 0;     ///< alpha tests saved by prefix sharing
-
-  // Execution (cumulative across the matcher's lifetime).
-  std::uint64_t dispatches = 0;     ///< instructions executed by the VM
-  std::uint64_t net_runs = 0;       ///< facts classified through the net
-  std::uint64_t derive_runs = 0;    ///< derive-program executions
-  std::uint64_t rematch_runs = 0;   ///< rematch-program executions
-  std::uint64_t quant_checks = 0;   ///< quantified-CE checks executed
-  std::uint64_t emits = 0;          ///< instantiation emissions attempted
-
-  /// Push every compile_fields() entry into `registry` as
-  /// "<prefix><name>".
-  void publish(obs::MetricsRegistry& registry,
-               std::string_view prefix = "compile.") const;
-};
-
 namespace obs {
 
 /// Schema entry: a stat field's export name and member pointer.
@@ -376,9 +346,6 @@ std::span<const FieldDef<ReplStats>> repl_fields();
 
 /// Every numeric ClusterStats field, in export order.
 std::span<const FieldDef<ClusterStats>> cluster_fields();
-
-/// Every numeric CompileStats field, in export order.
-std::span<const FieldDef<CompileStats>> compile_fields();
 
 }  // namespace obs
 

@@ -13,8 +13,6 @@
 // programs.
 #pragma once
 
-#include "compile/compiler.hpp"
-#include "compile/vm.hpp"
 #include "distrib/copy_constrain.hpp"
 #include "distrib/dist_engine.hpp"
 #include "distrib/partition.hpp"

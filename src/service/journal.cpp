@@ -20,6 +20,15 @@ std::string errno_text() { return std::strerror(errno); }
 // ByteWriter/ByteReader and the value codec moved to journal.hpp so the
 // cluster site WAL and wire codecs (src/distrib/) share one byte layout.
 
+// Shortest encodings of the counted items, for ByteReader::count: an op
+// (kind + fact id, or kind + template + empty slot count), an ack (req +
+// empty response), a batch segment (op count + fingerprint + high water)
+// and a snapshot fact (id + template + slot count).
+constexpr std::size_t kMinOpBytes = 1 + 8;
+constexpr std::size_t kMinAckBytes = 8 + 4;
+constexpr std::size_t kMinSegmentBytes = 4 + 8 + 8;
+constexpr std::size_t kMinFactBytes = 8 + 4 + 4;
+
 void encode_op(ByteWriter& w, const JournalOp& op, const SymbolTable& symbols) {
   w.u8(static_cast<std::uint8_t>(op.kind));
   if (op.kind == JournalOp::Kind::Assert) {
@@ -37,7 +46,7 @@ JournalOp decode_op(ByteReader& r, SymbolTable& symbols) {
   if (kind == static_cast<std::uint8_t>(JournalOp::Kind::Assert)) {
     op.kind = JournalOp::Kind::Assert;
     op.tmpl = r.u32();
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count(kMinValueBytes);
     op.slots.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       op.slots.push_back(decode_value(r, symbols));
@@ -60,7 +69,7 @@ void encode_acks(ByteWriter& w, const std::vector<JournalAck>& acks) {
 }
 
 std::vector<JournalAck> decode_acks(ByteReader& r) {
-  std::vector<JournalAck> acks(r.u32());
+  std::vector<JournalAck> acks(r.count(kMinAckBytes));
   for (JournalAck& a : acks) {
     a.req = r.u64();
     a.response = r.str();
@@ -262,9 +271,9 @@ BatchRecord decode_batch(std::string_view payload, SymbolTable& symbols) {
   }
   BatchRecord rec;
   rec.seq = r.u64();
-  rec.segments.resize(r.u32());
+  rec.segments.resize(r.count(kMinSegmentBytes));
   for (BatchSegment& seg : rec.segments) {
-    seg.ops.resize(r.u32());
+    seg.ops.resize(r.count(kMinOpBytes));
     for (JournalOp& op : seg.ops) op = decode_op(r, symbols);
     seg.fingerprint = r.u64();
     seg.high_water = r.u64();
@@ -296,11 +305,11 @@ SnapshotRecord decode_snapshot(std::string_view payload, SymbolTable& symbols) {
   c.cycles = r.u64();
   c.firings = r.u64();
   c.rebuilds = r.u64();
-  rec.state.facts.resize(r.u32());
+  rec.state.facts.resize(r.count(kMinFactBytes));
   for (Fact& f : rec.state.facts) {
     f.id = r.u64();
     f.tmpl = r.u32();
-    f.slots.resize(r.u32());
+    f.slots.resize(r.count(kMinValueBytes));
     for (Value& v : f.slots) v = decode_value(r, symbols);
   }
   r.finish();

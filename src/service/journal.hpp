@@ -243,6 +243,16 @@ class ByteReader {
     raw(&v, sizeof v);
     return v;
   }
+  /// A count of items that each take at least `min_bytes` to encode.
+  /// A count the remaining bytes cannot hold is a length-field lie:
+  /// reject it before anyone sizes a container from it.
+  std::uint32_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (data_.size() - pos_) / min_bytes) {
+      throw JournalError("journal record count exceeds its bytes");
+    }
+    return n;
+  }
   std::string str() {
     const std::uint32_t n = u32();
     need(n);
@@ -278,6 +288,8 @@ class ByteReader {
 /// content always produces the same bytes.
 void encode_value(ByteWriter& w, const Value& v, const SymbolTable& symbols);
 Value decode_value(ByteReader& r, SymbolTable& symbols);
+/// The shortest encoded value: a kind byte and an empty symbol's length.
+inline constexpr std::size_t kMinValueBytes = 1 + 4;
 
 /// `version` is overridable so tests can forge future-format files.
 std::string encode_header(const std::string& name,

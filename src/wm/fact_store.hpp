@@ -154,26 +154,6 @@ class FactStore {
   /// Count of ids handed out (== WorkingMemory high-water mark).
   std::size_t ids() const { return row_of_.size(); }
 
-  // Column base pointers for the compiled VM, which caches them across
-  // a whole join program (stable while no facts are asserted — matchers
-  // never mutate working memory).
-  const std::uint32_t* slot_begin_data() const { return slot_begin_.data(); }
-  const std::uint8_t* kind_data() const { return kind_pool_.data(); }
-  const std::uint64_t* payload_data() const { return payload_pool_.data(); }
-  const std::uint64_t* slot_hash_data() const { return hash_pool_.data(); }
-  const FactId* id_data() const { return id_.data(); }
-
-  /// Slot base offset of `row` into the arenas (what view_row caches).
-  std::uint32_t slot_begin(FactRow row) const { return slot_begin_[row]; }
-
-  Value slot_at(std::uint32_t offset) const {
-    return Value::from_raw(static_cast<ValueKind>(kind_pool_[offset]),
-                           payload_pool_[offset]);
-  }
-  std::size_t slot_hash_at(std::uint32_t offset) const {
-    return hash_pool_[offset];
-  }
-
  private:
   friend class FactView;
 
@@ -183,8 +163,8 @@ class FactStore {
   std::vector<std::uint64_t> chash_;   ///< cached content hashes
   std::vector<std::uint8_t> alive_;
   /// rows() + 1 prefix offsets into the arenas: row r's slots live at
-  /// [slot_begin_[r], slot_begin_[r + 1]). The leading 0 keeps slot
-  /// addressing branch-free in the VM's candidate loops.
+  /// [slot_begin_[r], slot_begin_[r + 1]). The leading 0 keeps a row's
+  /// slot count one subtraction, with no branch for row 0.
   std::vector<std::uint32_t> slot_begin_{0};
 
   // Slot arenas, appended in assert order.

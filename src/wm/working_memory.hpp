@@ -99,8 +99,8 @@ class WorkingMemory {
     return store_.view_row(store_.row_of(id));
   }
 
-  /// The columnar store behind the views, for code that iterates rows
-  /// or caches column base pointers (the compiled VM). Read-only.
+  /// The columnar store behind the views, for code that iterates rows.
+  /// Read-only.
   const FactStore& store() const { return store_; }
 
   bool alive(FactId id) const;

@@ -137,16 +137,6 @@ TEST(SequentialEngine, TreatMatcherWorksToo) {
   EXPECT_EQ(stats.total_firings, 10u);
 }
 
-TEST(SequentialEngine, CompiledMatcherWorksToo) {
-  const Program p = parse_program(kCounting);
-  EngineConfig cfg;
-  cfg.matcher = MatcherKind::Compiled;
-  SequentialEngine engine(p, cfg);
-  engine.assert_initial_facts();
-  const RunStats stats = engine.run();
-  EXPECT_EQ(stats.total_firings, 10u);
-}
-
 // ----------------------------------------------------------------- PARULEL
 
 EngineConfig par_cfg(unsigned threads) {
@@ -204,39 +194,6 @@ TEST(ParallelEngine, SaturatesTransitiveClosure) {
   EXPECT_EQ(engine.wm().extent(path_t).size(), 10u);
   // Far fewer cycles than firings (the PARULEL claim).
   EXPECT_LT(stats.cycles, stats.total_firings);
-}
-
-TEST(ParallelEngine, CompiledMatcherUnderParallelFiring) {
-  // The compiled VM drives the match phase single-threaded while the
-  // firing phase fans out over the pool — the combination the TSan job
-  // watches for races between the frozen-snapshot readers and the VM's
-  // preallocated interpreter state.
-  const Program p = parse_program(R"(
-    (deftemplate edge (slot from) (slot to))
-    (deftemplate path (slot from) (slot to))
-    (defrule base (edge (from ?a) (to ?b)) (not (path (from ?a) (to ?b)))
-      => (assert (path (from ?a) (to ?b))))
-    (defrule extend (path (from ?a) (to ?b)) (edge (from ?b) (to ?c))
-      (not (path (from ?a) (to ?c)))
-      => (assert (path (from ?a) (to ?c))))
-    (deffacts g
-      (edge (from 1) (to 2)) (edge (from 2) (to 3))
-      (edge (from 3) (to 4)) (edge (from 4) (to 5))))");
-  EngineConfig cfg = par_cfg(4);
-  cfg.matcher = MatcherKind::Compiled;
-  ParallelEngine compiled_engine(p, cfg);
-  compiled_engine.assert_initial_facts();
-  const RunStats compiled_stats = compiled_engine.run();
-
-  ParallelEngine treat_engine(p, par_cfg(4));
-  treat_engine.assert_initial_facts();
-  const RunStats treat_stats = treat_engine.run();
-
-  EXPECT_TRUE(compiled_stats.quiescent);
-  EXPECT_EQ(compiled_stats.cycles, treat_stats.cycles);
-  EXPECT_EQ(compiled_stats.total_firings, treat_stats.total_firings);
-  EXPECT_EQ(compiled_engine.wm().content_fingerprint(),
-            treat_engine.wm().content_fingerprint());
 }
 
 TEST(ParallelEngine, MetaRuleRedactsWithinCycle) {

@@ -304,37 +304,6 @@ TEST(StatsSchema, RunFieldsRoundTripThroughMemberPointers) {
   EXPECT_EQ(wall, 999u);
 }
 
-TEST(StatsSchema, CompileFieldsAreUniqueAndRoundTrip) {
-  CompileStats s;
-  s.instructions = 42;
-  s.dispatches = 1000;
-  std::vector<std::string_view> names;
-  std::uint64_t instructions = 0, dispatches = 0;
-  for (const auto& f : obs::compile_fields()) {
-    ASSERT_NE(f.name, nullptr);
-    EXPECT_NE(std::string_view(f.name), "");
-    names.push_back(f.name);
-    if (std::string_view(f.name) == "instructions") instructions = s.*f.member;
-    if (std::string_view(f.name) == "dispatches") dispatches = s.*f.member;
-  }
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end())
-      << "duplicate compile field name";
-  EXPECT_EQ(instructions, 42u);
-  EXPECT_EQ(dispatches, 1000u);
-}
-
-TEST(StatsSchema, CompileStatsPublishUsesPrefix) {
-  CompileStats s;
-  s.instructions = 7;
-  s.emits = 3;
-  obs::MetricsRegistry reg;
-  s.publish(reg);
-  EXPECT_EQ(reg.counter("compile.instructions").get(), 7u);
-  EXPECT_EQ(reg.counter("compile.emits").get(), 3u);
-  EXPECT_EQ(reg.size(), obs::compile_fields().size());
-}
-
 TEST(StatsSchema, RunToJsonIsValid) {
   RunStats s;
   s.cycles = 2;
@@ -499,30 +468,6 @@ TEST(Metrics, EngineRunPublishesMatcherAndPoolMetrics) {
   EXPECT_GT(reg.counter("pool.jobs").get(), 0u);
   EXPECT_EQ(reg.counter("engine.threads").get(), 2u);
   EXPECT_GT(reg.counter("meta.redactions").get(), 0u);
-  // A non-compiled matcher must not leak compile.* names into exports.
-  EXPECT_EQ(reg.to_json().find("compile."), std::string::npos);
-}
-
-TEST(Metrics, CompiledMatcherRunPublishesCompileCounters) {
-  const Program p = parse_program(workloads::make_sieve(60, false).source);
-  obs::MetricsRegistry reg;
-  EngineConfig cfg;
-  cfg.matcher = MatcherKind::Compiled;
-  cfg.metrics = &reg;
-  SequentialEngine engine(p, cfg);
-  engine.assert_initial_facts();
-  engine.run();
-
-  EXPECT_GT(reg.counter("compile.instructions").get(), 0u);
-  EXPECT_GT(reg.counter("compile.code_bytes").get(), 0u);
-  EXPECT_GT(reg.counter("compile.dispatches").get(), 0u);
-  EXPECT_GT(reg.counter("compile.net_runs").get(), 0u);
-  EXPECT_GT(reg.counter("compile.emits").get(), 0u);
-  // The compile family lands in the sorted JSON export with the rest.
-  const std::string j = reg.to_json();
-  EXPECT_TRUE(is_valid_json(j)) << j;
-  EXPECT_NE(j.find("\"compile.dispatches\""), std::string::npos);
-  EXPECT_NE(j.find("\"match.insts_derived\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

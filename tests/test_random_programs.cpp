@@ -7,7 +7,10 @@
 // enumeration over working memory. This is the strongest correctness
 // net in the suite: any divergence in alpha routing, join planning,
 // seminaive derivation, negation maintenance, or deletion propagation
-// shows up as a set mismatch.
+// shows up as a set mismatch. The InstIds are pinned too: TREAT and
+// parallel TREAT must number every batch alike, and a fresh one fed the
+// alive facts as one delta must number them as the reference in
+// treat_reference.hpp does.
 //
 // Separately: the PARULEL engine must be trace-identical across thread
 // counts on arbitrary (even non-confluent, non-terminating) programs —
@@ -17,11 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <sstream>
 
-#include "compile/vm.hpp"
 #include "engine/par_engine.hpp"
 #include "engine/seq_engine.hpp"
 #include "lang/parser.hpp"
@@ -31,6 +34,7 @@
 #include "match/treat.hpp"
 #include "meta_reference.hpp"
 #include "support/rng.hpp"
+#include "treat_reference.hpp"
 
 namespace parulel {
 namespace {
@@ -316,8 +320,7 @@ TEST_P(RandomProgramTest, AllMatchersAgreeWithOracle) {
   TreatMatcher treat(program.rules, program.alphas, program.schema.size());
   ParallelTreatMatcher par(program.rules, program.alphas,
                            program.schema.size(), pool);
-  CompiledMatcher compiled(program.rules, program.alphas,
-                           program.schema.size());
+  ThreadPool pool1(1), pool4(4);
 
   std::vector<FactId> alive;
   const int batches = 8;
@@ -351,7 +354,6 @@ TEST_P(RandomProgramTest, AllMatchersAgreeWithOracle) {
     rete.apply_delta(wm, delta);
     treat.apply_delta(wm, delta);
     par.apply_delta(wm, delta);
-    compiled.apply_delta(wm, delta);
 
     const std::set<InstKey> expected = oracle(program, wm);
     EXPECT_EQ(matcher_set(rete), expected)
@@ -360,27 +362,73 @@ TEST_P(RandomProgramTest, AllMatchersAgreeWithOracle) {
         << "treat diverged, batch " << batch << "\n" << gen.source;
     EXPECT_EQ(matcher_set(par), expected)
         << "parallel diverged, batch " << batch << "\n" << gen.source;
-    EXPECT_EQ(matcher_set(compiled), expected)
-        << "compiled diverged, batch " << batch << "\n" << gen.source;
 
-    // The compiled VM must also mirror the interpreter's derivation
-    // ORDER, not just its set: identical InstIds are what make it a
-    // drop-in under every conflict-resolution strategy.
-    const std::vector<InstId> treat_ids = treat.conflict_set().alive_ids();
-    const std::vector<InstId> vm_ids = compiled.conflict_set().alive_ids();
-    ASSERT_EQ(treat_ids, vm_ids)
-        << "compiled InstId order diverged, batch " << batch << "\n"
+    // The ids, not just the set: equal InstIds are what make the two
+    // interchangeable under every conflict-resolution strategy.
+    ASSERT_EQ(testing_treat::snapshot(treat.conflict_set()),
+              testing_treat::snapshot(par.conflict_set()))
+        << "parallel InstId order diverged, batch " << batch << "\n"
         << gen.source;
-    for (InstId id : treat_ids) {
-      const Instantiation a = treat.conflict_set().get(id);
-      const Instantiation b = compiled.conflict_set().get(id);
-      ASSERT_EQ(a.rule, b.rule) << "inst " << id;
-      ASSERT_TRUE(std::ranges::equal(a.facts, b.facts)) << "inst " << id;
+
+    // Replayed as one delta into fresh matchers, the alive facts must be
+    // numbered as the reference numbers them.
+    Delta replay;
+    replay.added = alive;
+    std::sort(replay.added.begin(), replay.added.end());
+    const auto want = testing_treat::snapshot(
+        testing_treat::treat_reference(program, wm, replay.added).cs);
+    TreatMatcher fresh(program.rules, program.alphas, program.schema.size());
+    ParallelTreatMatcher fresh1(program.rules, program.alphas,
+                                program.schema.size(), pool1);
+    ParallelTreatMatcher fresh4(program.rules, program.alphas,
+                                program.schema.size(), pool4);
+    for (Matcher* m :
+         std::initializer_list<Matcher*>{&fresh, &fresh1, &fresh4}) {
+      m->apply_delta(wm, replay);
+      ASSERT_EQ(testing_treat::snapshot(m->conflict_set()), want)
+          << m->name() << " (" << (m == &fresh4 ? 4 : 1)
+          << " threads) diverged from the reference, batch " << batch
+          << "\n" << gen.source;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range(0, 60));
+
+// ------------------------------------------------------- engine runs
+
+/// `gen`'s source plus a deffacts block of 12 random facts with integer
+/// slots in [0, 4).
+std::string with_initial_facts(Rng& rng, const GeneratedProgram& gen) {
+  std::ostringstream source;
+  source << gen.source << "(deffacts init\n";
+  for (int i = 0; i < 12; ++i) {
+    const auto t = rng.below(static_cast<std::uint64_t>(gen.n_templates));
+    source << "  (t" << t;
+    for (int s = 0; s < gen.arity[t]; ++s) {
+      source << " (s" << s << " " << rng.below(4) << ")";
+    }
+    source << ")\n";
+  }
+  source << ")\n";
+  return source.str();
+}
+
+/// Run `program` on the parallel engine (cycles traced, at most 50):
+/// its stats and the final working memory's fingerprint.
+std::pair<RunStats, std::uint64_t> run_parallel(const Program& program,
+                                                MatcherKind kind,
+                                                unsigned threads) {
+  EngineConfig cfg;
+  cfg.threads = threads;
+  cfg.matcher = kind;
+  cfg.trace_cycles = true;
+  cfg.max_cycles = 50;
+  ParallelEngine engine(program, cfg);
+  engine.assert_initial_facts();
+  const RunStats stats = engine.run();
+  return {stats, engine.wm().content_fingerprint()};
+}
 
 // ------------------------------------- engine determinism, any program
 
@@ -388,37 +436,11 @@ class RandomEngineTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomEngineTest, ParallelEngineTraceIdenticalAcrossThreads) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  GeneratedProgram gen = generate_program(rng, /*active_rhs=*/true);
-  std::string source = gen.source;
-  // Append a deffacts block with a random initial population.
-  std::ostringstream facts;
-  facts << "(deffacts init\n";
-  for (int i = 0; i < 12; ++i) {
-    const auto t = rng.below(static_cast<std::uint64_t>(gen.n_templates));
-    facts << "  (t" << t;
-    for (int s = 0; s < gen.arity[t]; ++s) {
-      facts << " (s" << s << " " << rng.below(4) << ")";
-    }
-    facts << ")\n";
-  }
-  facts << ")\n";
-  source += facts.str();
-  const Program program = parse_program(source);
+  const GeneratedProgram gen = generate_program(rng, /*active_rhs=*/true);
+  const Program program = parse_program(with_initial_facts(rng, gen));
 
-  auto run = [&](unsigned threads) {
-    EngineConfig cfg;
-    cfg.threads = threads;
-    cfg.matcher = MatcherKind::ParallelTreat;
-    cfg.trace_cycles = true;
-    cfg.max_cycles = 50;
-    ParallelEngine engine(program, cfg);
-    engine.assert_initial_facts();
-    const RunStats stats = engine.run();
-    return std::make_pair(stats, engine.wm().content_fingerprint());
-  };
-
-  const auto [s1, fp1] = run(1);
-  const auto [s4, fp4] = run(4);
+  const auto [s1, fp1] = run_parallel(program, MatcherKind::ParallelTreat, 1);
+  const auto [s4, fp4] = run_parallel(program, MatcherKind::ParallelTreat, 4);
   EXPECT_EQ(fp1, fp4);
   EXPECT_EQ(s1.cycles, s4.cycles);
   EXPECT_EQ(s1.total_firings, s4.total_firings);
@@ -433,49 +455,24 @@ TEST_P(RandomEngineTest, ParallelEngineTraceIdenticalAcrossThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomEngineTest, ::testing::Range(0, 25));
 
-// ----------------------- compiled vs interpreted differential sweep
+// ------------------------------ treat vs parallel treat vs rete sweep
 //
-// The compiled matcher's primary correctness gate: every generated
-// program runs to completion under the interpreted TREAT oracle and
-// under the bytecode VM, and the full observable behaviour must match —
-// final working-memory fingerprint, cycle count, total firings, and the
-// per-cycle conflict-set sizes.
+// Every generated program runs to completion under sequential TREAT and
+// under parallel TREAT at 1 and 4 threads on the parallel engine, and
+// the full observable behaviour must match: final working-memory
+// fingerprint, cycle count, total firings, and the per-cycle
+// conflict-set sizes and firings. RETE is held to TREAT's fingerprint on
+// the sequential engine.
 
-class CompiledDifferentialTest : public ::testing::TestWithParam<int> {};
+class MatcherDifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CompiledDifferentialTest, CompiledMatchesInterpreterEndToEnd) {
+TEST_P(MatcherDifferentialTest, TreatFamilyAgreesEndToEnd) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863 + 11);
-  GeneratedProgram gen = generate_program(rng, /*active_rhs=*/true);
-  std::string source = gen.source;
-  std::ostringstream facts;
-  facts << "(deffacts init\n";
-  for (int i = 0; i < 12; ++i) {
-    const auto t = rng.below(static_cast<std::uint64_t>(gen.n_templates));
-    facts << "  (t" << t;
-    for (int s = 0; s < gen.arity[t]; ++s) {
-      facts << " (s" << s << " " << rng.below(4) << ")";
-    }
-    facts << ")\n";
-  }
-  facts << ")\n";
-  source += facts.str();
+  const GeneratedProgram gen = generate_program(rng, /*active_rhs=*/true);
+  const std::string source = with_initial_facts(rng, gen);
   const Program program = parse_program(source);
 
-  auto run = [&](MatcherKind kind) {
-    EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.matcher = kind;
-    cfg.trace_cycles = true;
-    cfg.max_cycles = 50;
-    ParallelEngine engine(program, cfg);
-    engine.assert_initial_facts();
-    const RunStats stats = engine.run();
-    return std::make_pair(stats, engine.wm().content_fingerprint());
-  };
-
-  const auto [si, fpi] = run(MatcherKind::Treat);
-  const auto [sc, fpc] = run(MatcherKind::Compiled);
-  EXPECT_EQ(fpi, fpc) << "fingerprint diverged\n" << source;
+  const auto [si, fpi] = run_parallel(program, MatcherKind::Treat, 1);
 
   // Rete rides the sequential engine (the parallel engine rejects it);
   // treat under the same engine is the apples-to-apples oracle.
@@ -494,20 +491,27 @@ TEST_P(CompiledDifferentialTest, CompiledMatchesInterpreterEndToEnd) {
   EXPECT_EQ(seq_treat_fp, seq_rete_fp)
       << "rete fingerprint diverged\n" << source;
   EXPECT_EQ(seq_treat_fired, seq_rete_fired) << source;
-  EXPECT_EQ(si.cycles, sc.cycles) << source;
-  EXPECT_EQ(si.total_firings, sc.total_firings) << source;
-  EXPECT_EQ(si.peak_conflict_set, sc.peak_conflict_set) << source;
-  ASSERT_EQ(si.per_cycle.size(), sc.per_cycle.size());
-  for (std::size_t i = 0; i < si.per_cycle.size(); ++i) {
-    EXPECT_EQ(si.per_cycle[i].conflict_set_size,
-              sc.per_cycle[i].conflict_set_size)
-        << "cycle " << i << "\n" << source;
-    EXPECT_EQ(si.per_cycle[i].fired, sc.per_cycle[i].fired)
-        << "cycle " << i << "\n" << source;
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("parallel-treat, threads " + std::to_string(threads));
+    const auto [sp, fpp] =
+        run_parallel(program, MatcherKind::ParallelTreat, threads);
+    EXPECT_EQ(fpi, fpp) << "fingerprint diverged\n" << source;
+    EXPECT_EQ(si.cycles, sp.cycles) << source;
+    EXPECT_EQ(si.total_firings, sp.total_firings) << source;
+    EXPECT_EQ(si.peak_conflict_set, sp.peak_conflict_set) << source;
+    ASSERT_EQ(si.per_cycle.size(), sp.per_cycle.size());
+    for (std::size_t i = 0; i < si.per_cycle.size(); ++i) {
+      EXPECT_EQ(si.per_cycle[i].conflict_set_size,
+                sp.per_cycle[i].conflict_set_size)
+          << "cycle " << i << "\n" << source;
+      EXPECT_EQ(si.per_cycle[i].fired, sp.per_cycle[i].fired)
+          << "cycle " << i << "\n" << source;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CompiledDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherDifferentialTest,
                          ::testing::Range(0, 200));
 
 // ------------------ existential redaction vs the enumerated reference
