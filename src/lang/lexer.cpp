@@ -1,46 +1,52 @@
 #include "lang/lexer.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <string>
+#include <cstdint>
 
 #include "support/error.hpp"
 
 namespace parulel {
 namespace {
 
-bool is_name_char(char c) {
-  if (std::isalnum(static_cast<unsigned char>(c))) return true;
-  switch (c) {
-    case '-': case '+': case '*': case '/': case '<': case '>':
-    case '=': case '!': case '_': case '.': case '&': case '~':
-    case '%': case '$': case ':':
-      return true;
-    default:
-      return false;
-  }
+enum : std::uint8_t { kSpace = 1, kName = 2, kDigit = 4 };
+
+/// Character classes of the "C" locale's isspace/isalnum, plus the
+/// punctuation a name may contain.
+constexpr std::array<std::uint8_t, 256> kClasses = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned char c : std::string_view(" \t\n\v\f\r")) t[c] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kName | kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = t[c - 'a' + 'A'] = kName;
+  for (unsigned char c : std::string_view("-+*/<>=!_.&~%$:")) t[c] = kName;
+  return t;
+}();
+
+bool is(char c, std::uint8_t cls) {
+  return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 /// True when `text` parses fully as a number; fills the token fields.
-bool try_number(const std::string& text, Token& tok) {
-  if (text.empty()) return false;
-  // Reject pure operator tokens like "-" or "+" or "<=".
-  bool has_digit = false;
-  for (char c : text) {
-    if (std::isdigit(static_cast<unsigned char>(c))) has_digit = true;
+/// Only a digit, '-' or '.' can start one and digitless tokens ("-",
+/// "-nan") are names, so other names ("+5", "inf") skip both conversions.
+bool try_number(std::string_view text, Token& tok) {
+  const auto digit = [](char c) { return is(c, kDigit); };
+  if (!digit(text[0]) && ((text[0] != '-' && text[0] != '.') ||
+                          std::none_of(text.begin(), text.end(), digit))) {
+    return false;
   }
-  if (!has_digit) return false;
-
+  const char* end = text.data() + text.size();
   std::int64_t iv = 0;
-  auto ir = std::from_chars(text.data(), text.data() + text.size(), iv);
-  if (ir.ec == std::errc{} && ir.ptr == text.data() + text.size()) {
+  auto ir = std::from_chars(text.data(), end, iv);
+  if (ir.ec == std::errc{} && ir.ptr == end) {
     tok.kind = TokenKind::Integer;
     tok.int_value = iv;
     return true;
   }
   double fv = 0.0;
-  auto fr = std::from_chars(text.data(), text.data() + text.size(), fv);
-  if (fr.ec == std::errc{} && fr.ptr == text.data() + text.size()) {
+  auto fr = std::from_chars(text.data(), end, fv);
+  if (fr.ec == std::errc{} && fr.ptr == end) {
     tok.kind = TokenKind::Float;
     tok.float_value = fv;
     return true;
@@ -50,86 +56,65 @@ bool try_number(const std::string& text, Token& tok) {
 
 }  // namespace
 
-std::vector<Token> tokenize(std::string_view source) {
-  std::vector<Token> out;
-  int line = 1;
-  std::size_t i = 0;
-  const std::size_t n = source.size();
-
-  while (i < n) {
-    const char c = source[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
+Token Lexer::next() {
+  const std::size_t n = src_.size();
+  for (; pos_ < n; ++pos_) {
+    const char c = src_[pos_];
     if (c == ';') {
-      while (i < n && source[i] != '\n') ++i;
-      continue;
+      while (pos_ + 1 < n && src_[pos_ + 1] != '\n') ++pos_;
+    } else if (c == '\n') {
+      ++line_;
+    } else if (!is(c, kSpace)) {
+      break;
     }
-    if (c == '(') {
-      out.push_back(Token{TokenKind::LParen, "(", 0, 0.0, line});
-      ++i;
-      continue;
-    }
-    if (c == ')') {
-      out.push_back(Token{TokenKind::RParen, ")", 0, 0.0, line});
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      std::string text;
-      ++i;
-      while (i < n && source[i] != '"') {
-        if (source[i] == '\n') ++line;
-        if (source[i] == '\\' && i + 1 < n) ++i;  // simple escapes
-        text.push_back(source[i]);
-        ++i;
-      }
-      if (i >= n) throw ParseError("unterminated string literal", line);
-      ++i;  // closing quote
-      out.push_back(Token{TokenKind::String, std::move(text), 0, 0.0, line});
-      continue;
-    }
-    if (c == '?') {
-      std::string text;
-      ++i;
-      while (i < n && is_name_char(source[i])) {
-        text.push_back(source[i]);
-        ++i;
-      }
-      // Bare `?` is an anonymous wildcard; represented as empty text.
-      out.push_back(Token{TokenKind::Variable, std::move(text), 0, 0.0, line});
-      continue;
-    }
-    if (is_name_char(c)) {
-      std::string text;
-      while (i < n && is_name_char(source[i])) {
-        text.push_back(source[i]);
-        ++i;
-      }
-      Token tok;
-      tok.line = line;
-      if (text == "=>") {
-        tok.kind = TokenKind::Arrow;
-        tok.text = text;
-      } else if (!try_number(text, tok)) {
-        tok.kind = TokenKind::Name;
-        tok.text = text;
-      } else {
-        tok.text = text;
-      }
-      out.push_back(std::move(tok));
-      continue;
-    }
-    throw ParseError(std::string("unexpected character '") + c + "'", line);
   }
 
-  out.push_back(Token{TokenKind::End, "", 0, 0.0, line});
+  Token tok;
+  tok.line = line_;
+  if (pos_ >= n) return tok;
+  const std::size_t start = pos_++;
+  const char c = src_[start];
+  if (c == '(' || c == ')') {
+    tok.kind = c == '(' ? TokenKind::LParen : TokenKind::RParen;
+    tok.text = src_.substr(start, 1);
+    return tok;
+  }
+  if (c == '"') {
+    while (pos_ < n && src_[pos_] != '"') {
+      if (src_[pos_] == '\\' && pos_ + 1 < n) ++pos_;  // simple escapes
+      if (src_[pos_] == '\n') ++line_;
+      ++pos_;
+    }
+    if (pos_ >= n) throw ParseError("unterminated string literal", line_);
+    tok.kind = TokenKind::String;
+    tok.text = src_.substr(start + 1, pos_ - start - 1);
+    tok.line = line_;
+    ++pos_;  // closing quote
+    return tok;
+  }
+  if (c != '?' && !is(c, kName)) {
+    throw ParseError(std::string("unexpected character '") + c + "'", line_);
+  }
+  while (pos_ < n && is(src_[pos_], kName)) ++pos_;
+  const std::size_t from = c == '?' ? start + 1 : start;
+  tok.text = src_.substr(from, pos_ - from);
+  if (c == '?') {
+    tok.kind = TokenKind::Variable;  // bare `?` (empty text) is a wildcard
+  } else if (tok.text == "=>") {
+    tok.kind = TokenKind::Arrow;
+  } else if (!try_number(tok.text, tok)) {
+    tok.kind = TokenKind::Name;
+  }
+  return tok;
+}
+
+std::string unescape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 1 < text.size()) ++i;
+    out.push_back(text[i]);
+  }
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include "lang/parser.hpp"
 
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "lang/lexer.hpp"
 #include "support/error.hpp"
@@ -8,17 +10,17 @@
 namespace parulel {
 namespace {
 
-/// Cursor over the token vector with helpers for the s-expression shape.
+/// Pulls tokens from a Lexer, with helpers for the s-expression shape.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, SymbolTable& symbols)
-      : tokens_(std::move(tokens)), symbols_(symbols) {}
+  Parser(std::string_view source, SymbolTable& symbols)
+      : lexer_(source), symbols_(symbols), cur_(lexer_.next()) {}
 
   ProgramAst parse_program() {
     ProgramAst out;
     while (!at(TokenKind::End)) {
       expect(TokenKind::LParen, "top-level form");
-      const Token& head = expect(TokenKind::Name, "form keyword");
+      const Token head = expect(TokenKind::Name, "form keyword");
       if (head.text == "deftemplate") {
         out.templates.push_back(parse_template());
       } else if (head.text == "defrule") {
@@ -28,36 +30,53 @@ class Parser {
       } else if (head.text == "deffacts") {
         out.facts.push_back(parse_deffacts());
       } else {
-        throw ParseError("unknown top-level form '" + head.text + "'",
-                         head.line);
+        throw ParseError(
+            "unknown top-level form '" + std::string(head.text) + "'",
+            head.line);
       }
     }
     return out;
   }
 
  private:
-  const Token& peek() const { return tokens_[pos_]; }
-  const Token& advance() { return tokens_[pos_++]; }
-  bool at(TokenKind k) const { return peek().kind == k; }
+  bool at(TokenKind k) const { return cur_.kind == k; }
 
-  const Token& expect(TokenKind k, const char* what) {
+  /// The token after cur_, lexed on demand: only `(declare` needs it.
+  const Token& peek_second() {
+    if (!second_) second_ = lexer_.next();
+    return *second_;
+  }
+
+  Token advance() {
+    Token t = std::exchange(cur_, second_ ? *second_ : lexer_.next());
+    second_.reset();
+    return t;
+  }
+
+  Token expect(TokenKind k, const char* what) {
     if (!at(k)) {
       throw ParseError(std::string("expected ") + what + ", found '" +
-                           peek().text + "'",
-                       peek().line);
+                           unescape(cur_.text) + "'",
+                       cur_.line);
     }
     return advance();
   }
 
-  Symbol intern(const std::string& text) { return symbols_.intern(text); }
+  /// Only a string literal can hold a backslash: its escapes are
+  /// resolved here, the one place token text is copied.
+  Symbol intern(std::string_view text) {
+    return symbols_.intern(text.find('\\') == std::string_view::npos
+                               ? text
+                               : std::string_view(unescape(text)));
+  }
 
   TemplateAst parse_template() {
     TemplateAst tmpl;
-    tmpl.line = peek().line;
+    tmpl.line = cur_.line;
     tmpl.name = intern(expect(TokenKind::Name, "template name").text);
     while (at(TokenKind::LParen)) {
       advance();
-      const Token& kw = expect(TokenKind::Name, "'slot'");
+      const Token kw = expect(TokenKind::Name, "'slot'");
       if (kw.text != "slot") {
         throw ParseError("expected (slot name) in deftemplate", kw.line);
       }
@@ -70,7 +89,7 @@ class Parser {
 
   DeffactsAst parse_deffacts() {
     DeffactsAst df;
-    df.line = peek().line;
+    df.line = cur_.line;
     df.name = intern(expect(TokenKind::Name, "deffacts name").text);
     while (at(TokenKind::LParen)) {
       df.facts.push_back(parse_pattern(/*negated=*/false));
@@ -82,21 +101,21 @@ class Parser {
   RuleAst parse_rule(bool is_meta) {
     RuleAst rule;
     rule.is_meta = is_meta;
-    rule.line = peek().line;
+    rule.line = cur_.line;
     rule.name = intern(expect(TokenKind::Name, "rule name").text);
 
     // Optional (declare (salience N)).
-    if (at(TokenKind::LParen) && tokens_[pos_ + 1].kind == TokenKind::Name &&
-        tokens_[pos_ + 1].text == "declare") {
+    if (at(TokenKind::LParen) && peek_second().kind == TokenKind::Name &&
+        peek_second().text == "declare") {
       advance();  // (
       advance();  // declare
       expect(TokenKind::LParen, "'(salience N)'");
-      const Token& kw = expect(TokenKind::Name, "'salience'");
+      const Token kw = expect(TokenKind::Name, "'salience'");
       if (kw.text != "salience") {
         throw ParseError("only (salience N) is supported in declare", kw.line);
       }
-      const Token& num = expect(TokenKind::Integer, "salience value");
-      rule.salience = static_cast<int>(num.int_value);
+      rule.salience = static_cast<int>(
+          expect(TokenKind::Integer, "salience value").int_value);
       expect(TokenKind::RParen, "')'");
       expect(TokenKind::RParen, "')' closing declare");
     }
@@ -119,8 +138,8 @@ class Parser {
     // Either `?f <- (pattern)` or `(pattern)` / `(not (pattern))` /
     // `(test expr)`.
     if (at(TokenKind::Variable)) {
-      const Token& var = advance();
-      const Token& arrow = expect(TokenKind::Name, "'<-'");
+      const Token var = advance();
+      const Token arrow = expect(TokenKind::Name, "'<-'");
       if (arrow.text != "<-") {
         throw ParseError("expected '<-' after fact variable", arrow.line);
       }
@@ -133,7 +152,7 @@ class Parser {
     }
 
     expect(TokenKind::LParen, "condition element");
-    const Token& head = expect(TokenKind::Name, "pattern head");
+    const Token head = expect(TokenKind::Name, "pattern head");
     if (head.text == "not") {
       PatternCEAst pat = parse_pattern(/*negated=*/true);
       expect(TokenKind::RParen, "')' closing not");
@@ -161,7 +180,7 @@ class Parser {
   /// Parses `(tmpl (slot val)...)` including the opening paren.
   PatternCEAst parse_pattern(bool negated) {
     expect(TokenKind::LParen, "pattern");
-    const Token& head = expect(TokenKind::Name, "template name");
+    const Token head = expect(TokenKind::Name, "template name");
     return parse_pattern_body(intern(head.text), head.line, negated);
   }
 
@@ -175,7 +194,7 @@ class Parser {
       advance();
       SlotPatternAst slot;
       slot.slot = intern(expect(TokenKind::Name, "slot name").text);
-      const Token& v = advance();
+      const Token v = advance();
       switch (v.kind) {
         case TokenKind::Variable:
           if (v.text.empty()) {
@@ -208,9 +227,19 @@ class Parser {
     return pat;
   }
 
+  /// The `(slot expr)...` updates of an assert or modify.
+  void parse_slot_exprs(ActionAst& act) {
+    while (at(TokenKind::LParen)) {
+      advance();
+      Symbol slot = intern(expect(TokenKind::Name, "slot name").text);
+      act.slot_exprs.emplace_back(slot, parse_expr());
+      expect(TokenKind::RParen, "')' closing slot value");
+    }
+  }
+
   ActionAst parse_action() {
     expect(TokenKind::LParen, "action");
-    const Token& head = expect(TokenKind::Name, "action keyword");
+    const Token head = expect(TokenKind::Name, "action keyword");
     ActionAst act;
     act.line = head.line;
 
@@ -218,34 +247,22 @@ class Parser {
       act.kind = ActionAst::Kind::Assert;
       expect(TokenKind::LParen, "fact to assert");
       act.tmpl = intern(expect(TokenKind::Name, "template name").text);
-      while (at(TokenKind::LParen)) {
-        advance();
-        Symbol slot = intern(expect(TokenKind::Name, "slot name").text);
-        ExprAst value = parse_expr();
-        expect(TokenKind::RParen, "')' closing slot value");
-        act.slot_exprs.emplace_back(slot, std::move(value));
-      }
+      parse_slot_exprs(act);
       expect(TokenKind::RParen, "')' closing fact");
     } else if (head.text == "retract") {
       act.kind = ActionAst::Kind::Retract;
-      const Token& v = expect(TokenKind::Variable, "fact variable");
+      const Token v = expect(TokenKind::Variable, "fact variable");
       if (v.text.empty()) throw ParseError("retract needs a named fact variable", v.line);
       act.fact_var = intern(v.text);
     } else if (head.text == "modify") {
       act.kind = ActionAst::Kind::Modify;
-      const Token& v = expect(TokenKind::Variable, "fact variable");
+      const Token v = expect(TokenKind::Variable, "fact variable");
       if (v.text.empty()) throw ParseError("modify needs a named fact variable", v.line);
       act.fact_var = intern(v.text);
-      while (at(TokenKind::LParen)) {
-        advance();
-        Symbol slot = intern(expect(TokenKind::Name, "slot name").text);
-        ExprAst value = parse_expr();
-        expect(TokenKind::RParen, "')' closing slot value");
-        act.slot_exprs.emplace_back(slot, std::move(value));
-      }
+      parse_slot_exprs(act);
     } else if (head.text == "bind") {
       act.kind = ActionAst::Kind::Bind;
-      const Token& v = expect(TokenKind::Variable, "variable");
+      const Token v = expect(TokenKind::Variable, "variable");
       if (v.text.empty()) throw ParseError("bind needs a named variable", v.line);
       act.bind_var = intern(v.text);
       act.args.push_back(parse_expr());
@@ -258,15 +275,20 @@ class Parser {
       act.kind = ActionAst::Kind::Redact;
       act.args.push_back(parse_expr());
     } else {
-      throw ParseError("unknown action '" + head.text + "'", head.line);
+      throw ParseError("unknown action '" + std::string(head.text) + "'",
+                       head.line);
     }
 
     expect(TokenKind::RParen, "')' closing action");
     return act;
   }
 
-  ExprAst parse_expr() {
-    const Token& t = advance();
+  /// Calls nest at most this deep, which also bounds the recursion over
+  /// ExprAst in the analyzer, the printer and its destructor.
+  static constexpr int kMaxExprDepth = 256;
+
+  ExprAst parse_expr(int depth = 1) {
+    const Token t = advance();
     ExprAst e;
     e.line = t.line;
     switch (t.kind) {
@@ -279,9 +301,6 @@ class Parser {
         e.constant = Value::real(t.float_value);
         return e;
       case TokenKind::String:
-        e.kind = ExprAst::Kind::Const;
-        e.constant = Value::symbol(intern(t.text));
-        return e;
       case TokenKind::Name:
         // A bare name in expression position is a symbolic constant.
         e.kind = ExprAst::Kind::Const;
@@ -296,10 +315,14 @@ class Parser {
         e.var = intern(t.text);
         return e;
       case TokenKind::LParen: {
-        const Token& op = expect(TokenKind::Name, "operator");
+        if (depth > kMaxExprDepth) {
+          throw ParseError("expression nested deeper than " +
+                               std::to_string(kMaxExprDepth) + " calls",
+                           t.line);
+        }
         e.kind = ExprAst::Kind::Call;
-        e.op = intern(op.text);
-        while (!at(TokenKind::RParen)) e.args.push_back(parse_expr());
+        e.op = intern(expect(TokenKind::Name, "operator").text);
+        while (!at(TokenKind::RParen)) e.args.push_back(parse_expr(depth + 1));
         advance();  // )
         return e;
       }
@@ -308,15 +331,16 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  Lexer lexer_;
   SymbolTable& symbols_;
-  std::size_t pos_ = 0;
+  Token cur_;
+  std::optional<Token> second_;
 };
 
 }  // namespace
 
 ProgramAst parse_ast(std::string_view source, SymbolTable& symbols) {
-  return Parser(tokenize(source), symbols).parse_program();
+  return Parser(source, symbols).parse_program();
 }
 
 }  // namespace parulel

@@ -1,23 +1,24 @@
 #include "lang/printer.hpp"
-#include <cctype>
-#include <cstdio>
 
+#include <cstdio>
 #include <sstream>
+
+#include "lang/lexer.hpp"
+#include "support/error.hpp"
 
 namespace parulel {
 
 namespace {
 
-/// Print a symbol so it re-lexes to the same Symbol: bare when safe,
-/// quoted-string otherwise (mirrors print_fact's escaping).
+/// Print a symbol so it re-lexes to the same Symbol: bare when it lexes
+/// as exactly one Name token, as a quoted string otherwise (so "42",
+/// "=>" and "a#b" stay symbols).
 void print_symbol(std::ostream& os, std::string_view name) {
-  bool bare = !name.empty();
-  for (char c : name) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-        c == ')' || c == '"' || c == ';' || c == '?') {
-      bare = false;
-      break;
-    }
+  bool bare = false;
+  try {
+    const Token t = Lexer(name).next();
+    bare = t.kind == TokenKind::Name && t.text.size() == name.size();
+  } catch (const ParseError&) {
   }
   if (bare) {
     os << name;
@@ -201,27 +202,7 @@ std::string print_fact(TemplateId tmpl, std::span<const Value> slots,
     os << " (" << symbols.name(def.slot_names[i]) << " ";
     const Value& v = slots[i];
     if (v.is_sym()) {
-      // Symbols that would not re-lex as a bare name round-trip as
-      // strings.
-      const std::string_view name = symbols.name(v.as_sym());
-      bool bare = !name.empty();
-      for (char c : name) {
-        if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-            c == ')' || c == '"' || c == ';' || c == '?') {
-          bare = false;
-          break;
-        }
-      }
-      if (bare) {
-        os << name;
-      } else {
-        os << '"';
-        for (char c : name) {
-          if (c == '"' || c == '\\') os << '\\';
-          os << c;
-        }
-        os << '"';
-      }
+      print_symbol(os, symbols.name(v.as_sym()));
     } else {
       os << v.to_string(symbols);
     }

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace parulel {
 
@@ -20,7 +20,9 @@ enum class TokenKind : std::uint8_t {
 
 struct Token {
   TokenKind kind = TokenKind::End;
-  std::string text;       // Name/Variable (without '?')/String contents
+  /// A view into the source: Name/Variable (without '?') text, or a
+  /// String's contents with its backslash escapes still in place.
+  std::string_view text;
   std::int64_t int_value = 0;
   double float_value = 0.0;
   int line = 0;

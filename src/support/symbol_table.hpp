@@ -21,9 +21,10 @@ using Symbol = std::uint32_t;
 
 /// Thread-safe append-only string interner.
 ///
-/// Interning takes a lock; lookups of already-interned names (`name()`)
-/// are lock-free reads of immutable storage, which is what the match
-/// inner loops need.
+/// Interning and `name()` both take the lock: `name()` indexes
+/// `strings_`, which a concurrent `intern` may reallocate. The strings
+/// themselves never move, so a returned view stays valid. The match
+/// inner loops compare Symbols and never look names up.
 class SymbolTable {
  public:
   SymbolTable();

@@ -1,5 +1,6 @@
 // Allocation tests: warmed-up steady-state conflict-set, quantifier-index
-// and unblock re-derivation work allocates nothing.
+// and unblock re-derivation work allocates nothing, and neither does
+// lexing program text.
 //
 // Its own executable because it replaces the global operator new with a
 // counting one. Each test warms its structures up to their peak shape,
@@ -13,10 +14,12 @@
 #include <span>
 #include <vector>
 
+#include "lang/lexer.hpp"
 #include "lang/parser.hpp"
 #include "match/conflict_set.hpp"
 #include "match/quant_index.hpp"
 #include "match/treat.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -48,6 +51,20 @@ TEST(Alloc, CounterSeesAllocations) {
   // A direct call: unlike a new-expression it may not be elided.
   EXPECT_EQ(allocations_of([] { ::operator delete(::operator new(16)); }),
             1u);
+}
+
+// Token text is a view into the source, so pulling every token of a
+// program without escaped strings allocates nothing.
+TEST(Alloc, LexingAllocatesNothing) {
+  const std::string source = workloads::make_waltz(16).source;
+  ASSERT_EQ(source.find('\\'), std::string::npos);
+  std::uint64_t tokens = 0;
+  const std::uint64_t allocs = allocations_of([&] {
+    Lexer lexer(source);
+    while (lexer.next().kind != TokenKind::End) ++tokens;
+  });
+  EXPECT_GT(tokens, 100000u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 // Add, fire, remove by id, key and fact, and quantifier probes, with
