@@ -7,7 +7,9 @@
 // single-process DistributedEngine running the identical partition.
 // Every cluster leg must reproduce the simulator's global fingerprint
 // bit for bit — a mismatch aborts the bench, because every other
-// number in the table would then be measuring a broken cluster.
+// number in the table would then be measuring a broken cluster. The
+// driver's own phase split (join, barriers, dump, stop; they sum to
+// its run() time) follows each leg.
 //
 // Part B: the recovery-cost knob. A 3-site journaled cluster takes a
 // real SIGKILL at a barrier boundary and the killed site rejoins from
@@ -149,6 +151,10 @@ int main() {
                 static_cast<unsigned long long>(r.out.cycles),
                 static_cast<unsigned long long>(r.out.stats.sent),
                 static_cast<unsigned long long>(r.out.stats.firings), per_s);
+    const ClusterStats& st = r.out.stats;
+    std::printf("%-22s join %.1f, barriers %.1f, dump %.1f, stop %.1f ms\n",
+                "  phases", ms(st.join_ns), ms(st.barrier_ns), ms(st.dump_ns),
+                ms(st.stop_ns));
     std::printf("%-22s %9.1f %9s %9s %9s %11s\n",
                 ("  simulator x" + std::to_string(sites)).c_str(), sim_ms,
                 "-", "-", "-", "-");
@@ -161,7 +167,11 @@ int main() {
                   {"sent", static_cast<double>(r.out.stats.sent)},
                   {"applied", static_cast<double>(r.out.stats.applied)},
                   {"firings", static_cast<double>(r.out.stats.firings)},
-                  {"barriers_per_s", per_s}});
+                  {"barriers_per_s", per_s},
+                  {"join_ms", ms(st.join_ns)},
+                  {"barrier_ms", ms(st.barrier_ns)},
+                  {"dump_ms", ms(st.dump_ns)},
+                  {"stop_ms", ms(st.stop_ns)}});
   }
 
   // ------------------------------------------- Part B: recovery knob

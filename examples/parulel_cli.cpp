@@ -826,6 +826,9 @@ int run_cli(const Options& opt) {
               << cs.retries << ", dropped " << cs.dropped << ", kills "
               << cs.kills << ", restores " << cs.restores << ", batches "
               << cs.batches << ", snapshots " << cs.snapshots << "\n";
+    std::cout << "cluster phases: join_ns " << cs.join_ns << ", barrier_ns "
+              << cs.barrier_ns << ", dump_ns " << cs.dump_ns << ", stop_ns "
+              << cs.stop_ns << "\n";
     std::cout << "global fingerprint: " << std::hex << out.fingerprint
               << std::dec << "\n";
     if (want_metrics) cs.publish(registry);

@@ -2,9 +2,12 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <ostream>
 #include <unordered_set>
@@ -24,6 +27,61 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 }  // namespace
+
+void await_stops(std::span<StopWait> waits, int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  // A pidfd turns "has the child exited?" into readability, so exits and
+  // stop replies share one poll set. No pidfd, no wait: that child is
+  // left for the caller's SIGKILL.
+  std::vector<int> pidfds(waits.size(), -1);
+  for (std::size_t i = 0; i < waits.size(); ++i) {
+    if (waits[i].pid >= 0) {
+      pidfds[i] = static_cast<int>(::syscall(SYS_pidfd_open, waits[i].pid, 0));
+    }
+  }
+  std::vector<pollfd> pfds;
+  std::vector<std::string> lines;
+  for (;;) {
+    pfds.clear();
+    for (std::size_t i = 0; i < waits.size(); ++i) {
+      StopWait& w = waits[i];
+      if (w.conn && w.conn->valid()) {
+        lines.clear();
+        const bool alive = w.conn->read_lines(lines);
+        const bool acked = std::any_of(
+            lines.begin(), lines.end(),
+            [](const std::string& l) { return starts_with(l, "ok cc-stop"); });
+        if (acked || !alive) {
+          w.conn->close();
+        } else {
+          pfds.push_back({w.conn->fd(), POLLIN, 0});
+        }
+      }
+      if (pidfds[i] >= 0) {
+        if (::waitpid(w.pid, nullptr, WNOHANG) > 0) {
+          ::close(pidfds[i]);
+          pidfds[i] = -1;
+          w.pid = -1;
+        } else {
+          pfds.push_back({pidfds[i], POLLIN, 0});
+        }
+      }
+    }
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (pfds.empty() || left.count() <= 0) break;
+    if (::poll(pfds.data(), pfds.size(), static_cast<int>(left.count())) <
+            0 &&
+        errno != EINTR) {
+      break;
+    }
+  }
+  for (const int fd : pidfds) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 ClusterDriver::ClusterDriver(const Program& program, ClusterConfig config)
     : program_(program), cfg_(std::move(config)) {
@@ -341,6 +399,9 @@ bool ClusterDriver::barrier_round(std::uint64_t cycle) {
 }
 
 ClusterOutcome ClusterDriver::run() {
+  // One clock, lapped at each phase boundary: the four phases sum to
+  // run()'s wall time exactly.
+  LapTimer clock;
   std::string error;
   listen_fd_ = net::listen_tcp(cfg_.port, &listen_port_, &error);
   if (listen_fd_ < 0) throw RuntimeError("cluster driver: " + error);
@@ -355,6 +416,7 @@ ClusterOutcome ClusterDriver::run() {
   }
   for (unsigned s = 0; s < cfg_.sites; ++s) wait_for_join(s);
   broadcast_peers();
+  clock.lap(stats_.join_ns);
 
   ClusterOutcome outcome;
   for (cycle_ = 0; cycle_ < cfg_.max_cycles; ++cycle_) {
@@ -406,11 +468,15 @@ ClusterOutcome ClusterDriver::run() {
     }
   }
 
+  clock.lap(stats_.barrier_ns);
+
   outcome.halted = halted_;
   outcome.cycles = stats_.barriers;
   outcome.fingerprint = collect_fingerprint(&outcome.facts);
+  clock.lap(stats_.dump_ns);
   stop_sites();
   for (SiteProc& site : sites_) retire_counters(site);
+  clock.lap(stats_.stop_ns);
   outcome.stats = totals();
   return outcome;
 }
@@ -420,37 +486,49 @@ std::uint64_t ClusterDriver::collect_fingerprint(std::uint64_t* facts) {
   // same replicated fact dump byte-identical tokens. Decode each
   // distinct token and fold its content hash exactly the way
   // DistributedEngine::global_fingerprint() does.
-  std::unordered_set<std::string> seen;
+  //
+  // Every site is asked first and all replies are read in one poll
+  // loop, so no site sits blocked on a full socket while the driver
+  // drains another.
+  struct Reply {
+    bool waiting = false;
+    bool head = false;  ///< `ok cc-dump` seen
+    std::uint64_t want = 0, got = 0;
+  };
+  std::vector<Reply> replies(cfg_.sites);
   for (unsigned s = 0; s < cfg_.sites; ++s) {
     SiteProc& site = sites_[s];
-    if (!site.up) continue;
-    if (!site.conn.write_line("cc-dump")) continue;
-    std::string head;
-    Timer deadline;
-    std::uint64_t want = 0;
-    bool got = false;
-    std::vector<std::string> fact_lines;
-    while (deadline.elapsed_ns() < 30'000'000'000ull) {
-      std::vector<std::string> lines;
-      const bool alive = site.conn.read_lines(lines);
+    replies[s].waiting = site.up && site.conn.write_line("cc-dump");
+  }
+  std::unordered_set<std::string> seen;
+  std::vector<pollfd> pfds;
+  std::vector<std::string> lines;
+  Timer deadline;
+  while (deadline.elapsed_ns() < 30'000'000'000ull) {
+    pfds.clear();
+    for (unsigned s = 0; s < cfg_.sites; ++s) {
+      Reply& r = replies[s];
+      if (!r.waiting) continue;
+      net::LineConn& conn = sites_[s].conn;
+      lines.clear();
+      const bool alive = conn.read_lines(lines);
       for (std::string& line : lines) {
-        if (!got) {
+        if (!r.head) {
           if (starts_with(line, "ok cc-dump")) {
-            want = wire_field_u64(line, "n");
-            got = true;
+            r.want = wire_field_u64(line, "n");
+            r.head = true;
           }
         } else if (starts_with(line, "fact ")) {
-          fact_lines.push_back(std::move(line));
+          line.erase(0, 5);
+          seen.insert(std::move(line));
+          ++r.got;
         }
       }
-      if (got && fact_lines.size() >= want) break;
-      if (!alive) break;
-      pollfd pfd{site.conn.fd(), POLLIN, 0};
-      ::poll(&pfd, 1, 100);
+      r.waiting = alive && !(r.head && r.got >= r.want);
+      if (r.waiting) pfds.push_back({conn.fd(), POLLIN, 0});
     }
-    for (const std::string& line : fact_lines) {
-      seen.insert(line.substr(5));
-    }
+    if (pfds.empty()) break;
+    ::poll(pfds.data(), pfds.size(), 100);
   }
   std::uint64_t fp = WorkingMemory::kFingerprintSeed;
   for (const std::string& hex : seen) {
@@ -463,46 +541,26 @@ std::uint64_t ClusterDriver::collect_fingerprint(std::uint64_t* facts) {
 }
 
 void ClusterDriver::stop_sites() {
-  for (SiteProc& site : sites_) {
-    if (site.up) {
-      site.conn.write_line("cc-stop");
+  std::vector<StopWait> waits(sites_.size());
+  for (std::size_t s = 0; s < sites_.size(); ++s) {
+    SiteProc& site = sites_[s];
+    if (site.up && site.conn.write_line("cc-stop")) {
+      waits[s].conn = &site.conn;
     }
+    waits[s].pid = site.pid;
   }
-  for (SiteProc& site : sites_) {
-    if (site.up) {
-      // Give the site a moment to flush its `ok cc-stop` and exit.
-      Timer deadline;
-      while (deadline.elapsed_ns() < 2'000'000'000ull) {
-        std::vector<std::string> lines;
-        if (!site.conn.read_lines(lines)) break;
-        bool done = false;
-        for (const std::string& line : lines) {
-          if (starts_with(line, "ok cc-stop")) done = true;
-        }
-        if (done) break;
-        pollfd pfd{site.conn.fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 50);
-      }
-      site.conn.close();
-      site.up = false;
+  // A stop-refusing child would wedge the driver; bounded patience,
+  // then SIGKILL.
+  await_stops(waits, 2000);
+  for (std::size_t s = 0; s < sites_.size(); ++s) {
+    SiteProc& site = sites_[s];
+    if (waits[s].pid >= 0) {
+      ::kill(waits[s].pid, SIGKILL);
+      ::waitpid(waits[s].pid, nullptr, 0);
     }
-    if (site.pid >= 0) {
-      // A stop-refusing child would wedge the driver; bounded patience.
-      Timer deadline;
-      bool reaped = false;
-      while (deadline.elapsed_ns() < 2'000'000'000ull) {
-        if (::waitpid(site.pid, nullptr, WNOHANG) > 0) {
-          reaped = true;
-          break;
-        }
-        ::usleep(20'000);
-      }
-      if (!reaped) {
-        ::kill(site.pid, SIGKILL);
-        ::waitpid(site.pid, nullptr, 0);
-      }
-      site.pid = -1;
-    }
+    site.pid = -1;
+    site.conn.close();
+    site.up = false;
   }
 }
 

@@ -18,6 +18,12 @@
 // everything ever sent is applied AND durable at its receiver
 // (ack-after-durable), so nothing in flight can reignite the run.
 //
+// Teardown: `cc-dump` goes to every live site at once and the replies
+// are read in one poll loop; then `cc-stop` goes to every live site and
+// one poll set waits, under a single 2 s deadline, for each stop reply
+// and for each process's exit through a pidfd. A site still alive at
+// the deadline is SIGKILLed and reaped.
+//
 // Chaos: FaultPlan crash entries become real SIGKILLs delivered at the
 // scheduled barrier boundary; the site is respawned `down_cycles`
 // barriers later and recovers from its WAL. Sites that die without an
@@ -36,6 +42,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +87,21 @@ struct ClusterOutcome {
   bool quiescent = false;
   ClusterStats stats;
 };
+
+/// One child being stopped. `conn` (nullable) is read until the child's
+/// `ok cc-stop` or EOF; `pid` (-1 = nothing to reap, e.g. manual mode)
+/// until the child exits.
+struct StopWait {
+  net::LineConn* conn = nullptr;
+  int pid = -1;
+};
+
+/// Wait up to `timeout_ms`, in one poll set, for every entry's stop
+/// reply and exit, watching exits through pidfds. An exited child is
+/// reaped and its `pid` set to -1. A child still alive at the deadline,
+/// or one whose pidfd could not be opened, keeps its pid: the caller
+/// escalates to SIGKILL + waitpid.
+void await_stops(std::span<StopWait> waits, int timeout_ms);
 
 class ClusterDriver {
  public:

@@ -483,7 +483,9 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   Peer& p = peers_[to];
   if (p.out.valid() || p.port == 0) return;
   std::string error;
-  ++counters_.redials;
+  // Only a dial that replaces a conn this process once had is a redial;
+  // a site's first dial to each peer is plain start-up.
+  if (p.dialed) ++counters_.redials;
   const int fd = net::dial_tcp(p.host.empty() ? "127.0.0.1" : p.host, p.port,
                                &error, 2000);
   if (fd < 0) return;  // peer down; backoff retries cover it
@@ -523,6 +525,7 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   }
   if (!starts_with(reply, "ok cc-hello")) return;
   p.out = std::move(conn);
+  p.dialed = true;
   for (const std::string& line : spill) handle_ack_line(to, line);
 }
 
@@ -704,21 +707,27 @@ void SiteRunner::run_cycle(std::uint64_t cycle) {
 }
 
 void SiteRunner::dump(net::LineConn& to) {
-  std::vector<std::string> lines;
-  for (FactId id = 1; id <= wm_->high_water(); ++id) {
-    if (!wm_->alive(id)) continue;
-    const FactView fact = wm_->view(id);
-    lines.push_back("fact " +
-                    to_hex(encode_fact_wire(fact.tmpl(), fact.copy_slots(),
-                                            *program_.symbols,
-                                            program_.schema)));
-  }
+  // One reply buffer, flushed whenever it passes kFlushBytes: a dump is
+  // a handful of write(2) calls, not one per fact.
+  constexpr std::size_t kFlushBytes = 64 * 1024;
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(wm_->content_fingerprint()));
-  to.write_line("ok cc-dump n=" + std::to_string(lines.size()) +
-                " fingerprint=" + fp);
-  for (const std::string& line : lines) to.write_line(line);
+  std::string out = "ok cc-dump n=" + std::to_string(wm_->alive_count()) +
+                    " fingerprint=" + fp + "\n";
+  for (FactId id = 1; id <= wm_->high_water(); ++id) {
+    if (!wm_->alive(id)) continue;
+    const FactView fact = wm_->view(id);
+    out += "fact ";
+    out += to_hex(encode_fact_wire(fact.tmpl(), fact.copy_slots(),
+                                   *program_.symbols, program_.schema));
+    out += '\n';
+    if (out.size() >= kFlushBytes) {
+      if (!to.write_all(out)) return;
+      out.clear();
+    }
+  }
+  to.write_all(out);
 }
 
 }  // namespace parulel

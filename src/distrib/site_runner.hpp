@@ -76,7 +76,7 @@ struct SiteCounters {
   std::uint64_t retries = 0;    ///< retransmissions
   std::uint64_t dropped = 0;    ///< injector-dropped attempts
   std::uint64_t delayed = 0;    ///< injector-delayed attempts
-  std::uint64_t redials = 0;    ///< peer reconnect attempts
+  std::uint64_t redials = 0;    ///< dials to a peer once connected
   std::uint64_t batches = 0;    ///< WAL batch records written
   std::uint64_t snapshots = 0;  ///< WAL snapshot rewrites
   std::uint64_t firings = 0;    ///< rule firings
@@ -127,6 +127,7 @@ class SiteRunner {
     std::map<std::uint64_t, OutEntry> pending;  ///< unacked sends
     bool ack_needed = false;
     std::uint32_t ack_epoch = 0;  ///< stream the pending ack covers
+    bool dialed = false;  ///< `out` was established once in this process
   };
 
   /// One decoded inbound cc-batch, queued until the next barrier.

@@ -200,12 +200,7 @@ std::string print_fact(TemplateId tmpl, std::span<const Value> slots,
   os << "(" << symbols.name(def.name);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     os << " (" << symbols.name(def.slot_names[i]) << " ";
-    const Value& v = slots[i];
-    if (v.is_sym()) {
-      print_symbol(os, symbols.name(v.as_sym()));
-    } else {
-      os << v.to_string(symbols);
-    }
+    print_value(os, slots[i], symbols);
     os << ")";
   }
   os << ")";

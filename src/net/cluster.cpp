@@ -66,26 +66,34 @@ bool LineConn::read_lines(std::vector<std::string>& out) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     // EOF or hard error: split out what we have, then report dead.
-    std::size_t at;
-    while ((at = rbuf_.find('\n')) != std::string::npos) {
-      out.push_back(rbuf_.substr(0, at));
-      rbuf_.erase(0, at + 1);
-    }
+    split_lines(out);
     close();
     return false;
   }
-  std::size_t at;
-  while ((at = rbuf_.find('\n')) != std::string::npos) {
-    out.push_back(rbuf_.substr(0, at));
-    rbuf_.erase(0, at + 1);
-  }
+  split_lines(out);
   return true;
 }
 
+void LineConn::split_lines(std::vector<std::string>& out) {
+  // Walk an offset and drop the consumed prefix once: erasing per line
+  // would move the unread tail once per line, quadratic in a big burst.
+  std::size_t from = 0;
+  std::size_t at;
+  while ((at = rbuf_.find('\n', from)) != std::string::npos) {
+    out.emplace_back(rbuf_, from, at - from);
+    from = at + 1;
+  }
+  rbuf_.erase(0, from);
+}
+
 bool LineConn::write_line(std::string_view line) {
-  if (fd_ < 0) return false;
   std::string data(line);
   data.push_back('\n');
+  return write_all(data);
+}
+
+bool LineConn::write_all(std::string_view data) {
+  if (fd_ < 0) return false;
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);

@@ -51,7 +51,16 @@ class LineConn {
   /// full socket buffer. Returns false — and closes — on error.
   bool write_line(std::string_view line);
 
+  /// Write `data` as is: whole newline-terminated lines composed by the
+  /// caller, sent in as few write(2) calls as the socket takes. Same
+  /// polling and failure rules as write_line.
+  bool write_all(std::string_view data);
+
  private:
+  /// Move every complete line of rbuf_ into `out`, keeping the
+  /// unterminated fragment (if any) buffered.
+  void split_lines(std::vector<std::string>& out);
+
   int fd_ = -1;
   std::string rbuf_;
 };

@@ -518,11 +518,15 @@ void NetServer::accept_ready() {
         config_.max_connections) {
       // Reject-not-block at the accept layer too: a one-line structured
       // refusal, then close. Best effort — the write may short-circuit.
+      // Counted first: once the refusal is out, a client may read the
+      // stats and must find it there.
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.rejected_full;
+      }
       [[maybe_unused]] ssize_t n =
           ::write(fd, kServerFull.data(), kServerFull.size());
       ::close(fd);
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.rejected_full;
       continue;
     }
     const int one = 1;

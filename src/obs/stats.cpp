@@ -317,6 +317,10 @@ constexpr FieldDef<ClusterStats> kClusterFields[] = {
     {"batches", &ClusterStats::batches},
     {"snapshots", &ClusterStats::snapshots},
     {"firings", &ClusterStats::firings},
+    {"join_ns", &ClusterStats::join_ns},
+    {"barrier_ns", &ClusterStats::barrier_ns},
+    {"dump_ns", &ClusterStats::dump_ns},
+    {"stop_ns", &ClusterStats::stop_ns},
 };
 
 

@@ -285,9 +285,10 @@ struct ReplStats {
 /// processes spawned/killed/respawned, plus the sums of the per-site
 /// counters each `barrier-done` line reports (sends, applies,
 /// dedup-suppressed duplicates, retransmissions, injector drops/delays,
-/// peer redials, WAL batches and snapshot rewrites). The
-/// cluster_fields() table feeds metrics publication, the CLI's exit
-/// summary, and the bench JSON rows like every other stat family.
+/// peer redials, WAL batches and snapshot rewrites), and the wall time
+/// of the driver's four phases. The cluster_fields() table feeds
+/// metrics publication, the CLI's exit summary, and the bench JSON rows
+/// like every other stat family.
 struct ClusterStats {
   std::uint64_t barriers = 0;    ///< barrier rounds completed
   std::uint64_t spawns = 0;      ///< site processes started (incl. respawns)
@@ -300,10 +301,16 @@ struct ClusterStats {
   std::uint64_t retries = 0;     ///< retransmissions after ack timeout
   std::uint64_t dropped = 0;     ///< attempts lost (injector or dead conn)
   std::uint64_t delayed = 0;     ///< attempts held back by the injector
-  std::uint64_t redials = 0;     ///< peer reconnect attempts
+  std::uint64_t redials = 0;     ///< dials to a peer once connected
   std::uint64_t batches = 0;     ///< site WAL batch records written
   std::uint64_t snapshots = 0;   ///< site WAL snapshot rewrites
   std::uint64_t firings = 0;     ///< rule firings across all sites
+  // The driver's run() split into consecutive laps of one clock; the
+  // four sum to its wall time.
+  std::uint64_t join_ns = 0;     ///< listen, spawn, first joins, peers
+  std::uint64_t barrier_ns = 0;  ///< barrier rounds incl. kills, rejoins
+  std::uint64_t dump_ns = 0;     ///< cc-dump of every site + fingerprint
+  std::uint64_t stop_ns = 0;     ///< cc-stop, exits reaped, counters
 
   /// Push every cluster_fields() entry into `registry` as
   /// "<prefix><name>".

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -32,6 +35,7 @@
 #include "net/cluster.hpp"
 #include "service/journal.hpp"
 #include "support/error.hpp"
+#include "support/timer.hpp"
 #include "wm/fact.hpp"
 #include "workloads/workloads.hpp"
 
@@ -88,9 +92,12 @@ std::string partition_spec_of(const workloads::Workload& wl) {
   return spec;
 }
 
+/// One driver run; `run_ns` (nullable) receives run()'s wall time as the
+/// caller sees it.
 ClusterOutcome run_cluster(const workloads::Workload& wl, unsigned sites,
                            const std::string& fault_spec,
-                           const TempDir& dir, bool journal) {
+                           const TempDir& dir, bool journal,
+                           std::uint64_t* run_ns = nullptr) {
   const Program program = parse_program(wl.source);
   ClusterConfig cfg;
   cfg.sites = sites;
@@ -108,7 +115,26 @@ ClusterOutcome run_cluster(const workloads::Workload& wl, unsigned sites,
   cfg.checkpoint_every = 4;  // small, so sweeps exercise snapshot rewrites
   cfg.fsync = false;         // durability ordering still holds; CI speed
   ClusterDriver driver(program, cfg);
-  return driver.run();
+  Timer wall;
+  ClusterOutcome out = driver.run();
+  if (run_ns) *run_ns = wall.elapsed_ns();
+  return out;
+}
+
+/// The driver's phases are laps of one clock inside run(): each is
+/// nonzero, and together they fill run()'s wall time as measured around
+/// the call, up to the call's own overhead.
+void expect_phases_fill_run(const ClusterStats& s, std::uint64_t run_ns,
+                            const std::string& what) {
+  EXPECT_GT(s.join_ns, 0u) << what;
+  EXPECT_GT(s.barrier_ns, 0u) << what;
+  EXPECT_GT(s.dump_ns, 0u) << what;
+  EXPECT_GT(s.stop_ns, 0u) << what;
+  const std::uint64_t sum = s.join_ns + s.barrier_ns + s.dump_ns + s.stop_ns;
+  EXPECT_LE(sum, run_ns) << what;
+  EXPECT_LT(run_ns - std::min(sum, run_ns), 10'000'000u)
+      << what << ": phases sum to " << sum << " ns of a " << run_ns
+      << " ns run";
 }
 
 // ---------------------------------------------------------------------
@@ -297,6 +323,161 @@ TEST(ClusterDriverConfig, RefusesSpawnWithoutBinary) {
 }
 
 // ---------------------------------------------------------------------
+// Line IO over a socketpair
+
+/// Both ends of a connected stream socketpair as LineConns.
+std::pair<net::LineConn, net::LineConn> conn_pair() {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  return {net::LineConn(fds[0]), net::LineConn(fds[1])};
+}
+
+/// Poll `conn` and collect lines until `want` arrived, EOF, or ~5 s.
+bool read_until(net::LineConn& conn, std::vector<std::string>& lines,
+                std::size_t want) {
+  bool alive = true;
+  for (int tries = 0; tries < 100 && alive && lines.size() < want; ++tries) {
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 50);
+    alive = conn.read_lines(lines);
+  }
+  return alive;
+}
+
+TEST(ClusterLineConn, LineSplitAcrossTwoReads) {
+  auto [a, b] = conn_pair();
+  ASSERT_TRUE(a.write_all("barrier-do"));
+  pollfd pfd{b.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  std::vector<std::string> lines;
+  EXPECT_TRUE(b.read_lines(lines));
+  EXPECT_TRUE(lines.empty());  // the fragment stays buffered
+  ASSERT_TRUE(a.write_all("ne cycle=3\nok"));
+  EXPECT_TRUE(read_until(b, lines, 1));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "barrier-done cycle=3");
+  ASSERT_TRUE(a.write_line(" cc-stop"));
+  EXPECT_TRUE(read_until(b, lines, 2));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1], "ok cc-stop");
+}
+
+TEST(ClusterLineConn, ManyLinesInOneRead) {
+  auto [a, b] = conn_pair();
+  std::string burst;
+  for (int i = 0; i < 200; ++i) burst += "fact " + std::to_string(i) + "\n";
+  burst += "\n";  // an empty line is still a line
+  ASSERT_TRUE(a.write_all(burst));
+  std::vector<std::string> lines;
+  EXPECT_TRUE(read_until(b, lines, 201));
+  ASSERT_EQ(lines.size(), 201u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(lines[i], "fact " + std::to_string(i));
+  }
+  EXPECT_EQ(lines[200], "");
+}
+
+TEST(ClusterLineConn, MebibyteOfLinesArrivesCompleteAndInOrder) {
+  auto [a, b] = conn_pair();
+  std::string burst;
+  std::size_t n = 0;
+  while (burst.size() < (1u << 20)) {
+    burst += "fact " + std::to_string(n++) + " 0123456789abcdef\n";
+  }
+  // The burst overflows the socket buffer: write_all must wait for the
+  // reader to drain, so it writes from its own thread.
+  bool wrote = false;
+  std::thread writer([&] { wrote = a.write_all(burst); });
+  std::vector<std::string> lines;
+  const bool alive = read_until(b, lines, n);
+  writer.join();
+  EXPECT_TRUE(wrote);
+  EXPECT_TRUE(alive);
+  ASSERT_EQ(lines.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(lines[i], "fact " + std::to_string(i) + " 0123456789abcdef");
+  }
+}
+
+TEST(ClusterLineConn, EofAfterPartialLineDropsTheFragment) {
+  auto [a, b] = conn_pair();
+  ASSERT_TRUE(a.write_all("one\ntwo\nthr"));
+  a.close();
+  std::vector<std::string> lines;
+  EXPECT_FALSE(read_until(b, lines, 3));
+  EXPECT_EQ(lines, (std::vector<std::string>{"one", "two"}));
+  EXPECT_FALSE(b.valid());
+}
+
+// ---------------------------------------------------------------------
+// Bounded reaping of stopped children
+
+/// A forked child that sleeps `ms` then exits 0. The guard SIGKILLs and
+/// reaps it if a test leaves it behind.
+struct Child {
+  int pid = -1;
+  explicit Child(int ms) {
+    pid = ::fork();
+    if (pid == 0) {
+      if (ms > 0) ::usleep(static_cast<useconds_t>(ms) * 1000);
+      ::_exit(0);
+    }
+  }
+  ~Child() {
+    if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+TEST(ClusterStop, ExitingChildIsReapedWellInsideTheDeadline) {
+  Child child(0);
+  ASSERT_GT(child.pid, 0);
+  StopWait wait{nullptr, child.pid};
+  Timer t;
+  await_stops(std::span(&wait, 1), 2000);
+  EXPECT_EQ(wait.pid, -1);
+  EXPECT_LT(t.elapsed_ns(), 1'000'000'000u);
+  // Reaped: the pid is no longer our child.
+  EXPECT_EQ(::waitpid(child.pid, nullptr, WNOHANG), -1);
+  child.pid = -1;
+}
+
+TEST(ClusterStop, ChildPastTheDeadlineIsLeftForSigkill) {
+  Child child(30'000);
+  ASSERT_GT(child.pid, 0);
+  // Its stop conn never answers either.
+  auto [driver_end, site_end] = conn_pair();
+  StopWait wait{&driver_end, child.pid};
+  Timer t;
+  await_stops(std::span(&wait, 1), 100);
+  const std::uint64_t waited = t.elapsed_ns();
+  EXPECT_GE(waited, 100'000'000u);
+  EXPECT_LT(waited, 1'000'000'000u);
+  ASSERT_EQ(wait.pid, child.pid);  // not exited: the caller escalates
+  EXPECT_TRUE(driver_end.valid());
+  ASSERT_EQ(::kill(wait.pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(wait.pid, &status, 0), child.pid);
+  EXPECT_TRUE(WIFSIGNALED(status));
+  child.pid = -1;
+}
+
+TEST(ClusterStop, StopReplyOrEofEndsTheConnWait) {
+  auto [d1, s1] = conn_pair();
+  auto [d2, s2] = conn_pair();
+  ASSERT_TRUE(s1.write_line("ok cc-stop"));
+  s2.close();
+  StopWait waits[2] = {{&d1, -1}, {&d2, -1}};
+  Timer t;
+  await_stops(waits, 2000);
+  EXPECT_LT(t.elapsed_ns(), 1'000'000'000u);
+  EXPECT_FALSE(d1.valid());
+  EXPECT_FALSE(d2.valid());
+}
+
+// ---------------------------------------------------------------------
 // Protocol error rows, exercised against a real driver in manual mode
 
 TEST(ClusterProtocol, StrayAndZombieHellosAreFenced) {
@@ -447,11 +628,20 @@ TEST(ClusterConvergence, FaultFreeMatchesSimulatedEngine) {
   const auto wl = workloads::make_tc(10, 18, 5);
   const std::uint64_t want = reference_fingerprint(wl, 3);
   TempDir dir;
-  const ClusterOutcome out = run_cluster(wl, 3, "", dir, /*journal=*/false);
+  std::uint64_t run_ns = 0;
+  const ClusterOutcome out =
+      run_cluster(wl, 3, "", dir, /*journal=*/false, &run_ns);
   EXPECT_TRUE(out.quiescent);
   EXPECT_EQ(out.fingerprint, want);
   EXPECT_EQ(out.stats.dropped, 0u);
   EXPECT_EQ(out.stats.retries, 0u);
+  // First dials to each peer are start-up, not reconnects.
+  EXPECT_EQ(out.stats.redials, 0u);
+  expect_phases_fill_run(out.stats, run_ns, "fault-free");
+  // Sites exit right after `ok cc-stop` and the driver wakes on each
+  // exit: well under the 20 ms that one sleep between exit polls cost.
+  // (Typically ~1 ms; the bound leaves room for a loaded host.)
+  EXPECT_LT(out.stats.stop_ns, 15'000'000u);
 }
 
 TEST(ClusterConvergence, SingleSiteDegenerateCluster) {
@@ -477,12 +667,16 @@ TEST(ClusterConvergence, ChaosSweepKillNineAtBatchBoundaries) {
       "loss=0.2,delay=0.15,maxdelay=2,crash=2@3+2",  // kill site 2 at cycle 3
       "dup=0.1,delay=0.2,maxdelay=3,crash=0@1+1,crash=1@3+2",  // two kills
   };
+  std::uint64_t redials = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (const std::string& plan : plans) {
       const std::string spec = plan + ",seed=" + std::to_string(seed);
       TempDir dir;
+      std::uint64_t run_ns = 0;
       const ClusterOutcome out =
-          run_cluster(wl, 3, spec, dir, /*journal=*/true);
+          run_cluster(wl, 3, spec, dir, /*journal=*/true, &run_ns);
+      expect_phases_fill_run(out.stats, run_ns, spec);
+      redials += out.stats.redials;
       EXPECT_TRUE(out.quiescent) << spec;
       EXPECT_EQ(out.fingerprint, want)
           << "diverged under " << spec << ": kills=" << out.stats.kills
@@ -492,6 +686,8 @@ TEST(ClusterConvergence, ChaosSweepKillNineAtBatchBoundaries) {
       EXPECT_EQ(out.stats.kills, out.stats.restores) << spec;
     }
   }
+  // Survivors reconnect to every respawned site.
+  EXPECT_GT(redials, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // end-to-end (exists ...) behaviour in the engines.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "engine/par_engine.hpp"
 #include "engine/seq_engine.hpp"
 #include "lang/printer.hpp"
@@ -105,6 +108,30 @@ TEST(DumpState, RoundTripsWorkingMemory) {
 
   EXPECT_EQ(engine.wm().content_fingerprint(),
             engine2.wm().content_fingerprint());
+}
+
+TEST(DumpState, RoundTripsFloatsExactly) {
+  const Program p = parse_program(R"(
+    (deftemplate m (slot v))
+    (deffacts f (m (v 1.0)) (m (v 0.123456789)) (m (v -0.0))))");
+  SequentialEngine engine(p, {});
+  engine.assert_initial_facts();
+  const std::string text = dump_state(engine.wm(), *p.symbols);
+  EXPECT_NE(text.find("(v 1.0)"), std::string::npos) << text;
+  EXPECT_NE(text.find("(v -0.0)"), std::string::npos) << text;
+
+  const Program restored = parse_program(text);
+  ASSERT_EQ(restored.initial_facts.size(), p.initial_facts.size());
+  for (std::size_t i = 0; i < p.initial_facts.size(); ++i) {
+    const Value want = p.initial_facts[i].slots.at(0);
+    const Value got = restored.initial_facts[i].slots.at(0);
+    ASSERT_TRUE(got.is_float()) << text;
+    EXPECT_EQ(got, want);
+    // Bit-exact: -0.0 == 0.0 as doubles, but must not come back as 0.0.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.as_float()),
+              std::bit_cast<std::uint64_t>(want.as_float()))
+        << got.as_float() << " vs " << want.as_float();
+  }
 }
 
 TEST(DumpState, QuotesAwkwardSymbols) {
