@@ -76,7 +76,7 @@ struct DistributedEngine::Site {
   std::unique_ptr<Matcher> matcher;
   MetaEngine meta;  ///< per site: sites run concurrently on the pool
   std::vector<Message> inbox;
-  std::vector<PendingOps> pending;  ///< this cycle's buffered firings
+  FiringBuffer fired;               ///< this cycle's buffered firings
   std::uint64_t firings = 0;
   std::uint64_t busy_ns = 0;        ///< this cycle's compute time
   std::uint64_t redactions_this_cycle = 0;
@@ -282,7 +282,7 @@ void DistributedEngine::crash_site(unsigned site_idx,
   // undrained inbox, unfired pending ops, and both channel directions.
   stats.faults.wiped += site.inbox.size();
   site.inbox.clear();
-  site.pending.clear();
+  site.fired.clear();
   site.wm = std::make_unique<WorkingMemory>(program_.schema);
   site.matcher = make_matcher(MatcherKind::Treat, program_);
   site.recv.assign(config_.sites, ChannelRecvState{});
@@ -354,73 +354,68 @@ bool DistributedEngine::reliable_work_pending() const {
 
 // ----------------------------------------------------------- routing
 
-void DistributedEngine::route_op(unsigned from_site, const PendingOp& op,
-                                 const WorkingMemory& from_wm,
-                                 DistStats& stats) {
-  auto deliver = [&](unsigned to, Message msg) {
-    if (to == from_site) {
-      // Local: apply immediately, preserving op order at this site.
-      // Loopback never traverses the network, so no faults apply.
-      auto& wm = *sites_[to]->wm;
-      if (msg.kind == Message::Kind::Assert) {
-        wm.assert_fact(msg.tmpl, std::move(msg.slots));
-      } else if (auto id = wm.find(msg.tmpl, msg.slots)) {
-        wm.retract(*id);
-      }
-    } else if (!reliable_) {
+void DistributedEngine::route_op(unsigned from_site,
+                                 const FiringBuffer& buffer,
+                                 const BufferedOp& op, DistStats& stats) {
+  // Ops the firing site owns apply to its working memory at once,
+  // preserving op order there; loopback never traverses the network, so
+  // no faults apply. Ops owned elsewhere become messages.
+  auto send = [&](unsigned to, Message msg) {
+    if (!reliable_) {
       sites_[to]->inbox.push_back(std::move(msg));
-      ++stats.messages;
     } else {
       send_reliable(from_site, to, std::move(msg), stats);
-      ++stats.messages;
+    }
+    ++stats.messages;
+  };
+  auto route_assert = [&] {
+    const std::span<const Value> slots = buffer.slots(op);
+    auto deliver = [&](unsigned to) {
+      if (to == from_site) {
+        sites_[to]->wm->assert_hashed(op.tmpl, slots, buffer.slot_hashes(op),
+                                      op.content_hash);
+      } else {
+        send(to,
+             {Message::Kind::Assert, op.tmpl, {slots.begin(), slots.end()}});
+      }
+    };
+    if (scheme_.replicated(op.tmpl)) {
+      ++stats.broadcasts;
+      for (unsigned s = 0; s < config_.sites; ++s) deliver(s);
+    } else {
+      deliver(scheme_.site_of(op.tmpl, slots, config_.sites));
     }
   };
-
-  auto route_content = [&](Message msg) {
-    if (scheme_.replicated(msg.tmpl)) {
+  // Retracts carry content: the retracted record stays readable.
+  auto route_retract = [&] {
+    const FactView fact = sites_[from_site]->wm->view(op.retract_id);
+    auto deliver = [&](unsigned to) {
+      if (to == from_site) {
+        WorkingMemory& wm = *sites_[to]->wm;
+        if (auto id = wm.find(fact)) wm.retract(*id);
+      } else {
+        send(to, {Message::Kind::Retract, fact.tmpl(), fact.copy_slots()});
+      }
+    };
+    if (scheme_.replicated(fact.tmpl())) {
       ++stats.broadcasts;
-      for (unsigned s = 0; s < config_.sites; ++s) deliver(s, msg);
+      for (unsigned s = 0; s < config_.sites; ++s) deliver(s);
     } else {
-      // Compute the owner before moving: argument evaluation order
-      // would otherwise be allowed to gut msg.slots first.
-      const unsigned owner =
-          scheme_.site_of(msg.tmpl, msg.slots, config_.sites);
-      deliver(owner, std::move(msg));
+      deliver(scheme_.site_of(fact, config_.sites));
     }
   };
 
   switch (op.kind) {
-    case PendingOp::Kind::Assert: {
-      Message msg;
-      msg.kind = Message::Kind::Assert;
-      msg.tmpl = op.tmpl;
-      msg.slots = op.slots;
-      route_content(std::move(msg));
+    case BufferedOp::Kind::Assert:
+      route_assert();
       break;
-    }
-    case PendingOp::Kind::Retract: {
-      const FactView fact = from_wm.view(op.retract_id);
-      Message msg;
-      msg.kind = Message::Kind::Retract;
-      msg.tmpl = fact.tmpl();
-      msg.slots = fact.copy_slots();
-      route_content(std::move(msg));
+    case BufferedOp::Kind::Retract:
+      route_retract();
       break;
-    }
-    case PendingOp::Kind::Modify: {
-      const FactView fact = from_wm.view(op.retract_id);
-      Message retract;
-      retract.kind = Message::Kind::Retract;
-      retract.tmpl = fact.tmpl();
-      retract.slots = fact.copy_slots();
-      route_content(std::move(retract));
-      Message assert_msg;
-      assert_msg.kind = Message::Kind::Assert;
-      assert_msg.tmpl = op.tmpl;
-      assert_msg.slots = op.slots;
-      route_content(std::move(assert_msg));
+    case BufferedOp::Kind::Modify:
+      route_retract();
+      route_assert();
       break;
-    }
   }
 }
 
@@ -470,7 +465,7 @@ bool DistributedEngine::cycle(DistStats& stats) {
       if (site->down) continue;
       jobs.push_back([this, site](unsigned) {
         Timer busy;
-        site->pending.clear();
+        site->fired.clear();
         site->work_done_this_cycle = false;
         site->redactions_this_cycle = 0;
         [&] {
@@ -485,10 +480,9 @@ bool DistributedEngine::cycle(DistStats& stats) {
           if (to_fire.empty()) return;
 
           site->work_done_this_cycle = true;
-          site->pending.resize(to_fire.size());
           for (std::size_t i = 0; i < to_fire.size(); ++i) {
             fire_buffered(program_, cs.get(to_fire[i]), *site->wm,
-                          site->pending[i]);
+                          site->fired);
             cs.mark_fired(to_fire[i]);
             ++site->firings;
           }
@@ -515,18 +509,19 @@ bool DistributedEngine::cycle(DistStats& stats) {
     for (unsigned s = 0; s < sites_.size(); ++s) {
       Site& site = *sites_[s];
       if (site.down) continue;
-      for (const auto& pending : site.pending) {
+      const FiringBuffer& fired = site.fired;
+      for (std::size_t f = 0; f < fired.size(); ++f) {
+        const BufferedFiring& firing = fired.firing(f);
         any_fired = true;
-        for (const auto& op : pending.ops) {
-          route_op(s, op, *site.wm, stats);
+        for (const BufferedOp& op : fired.ops(firing)) {
+          route_op(s, fired, op, stats);
         }
-        if (config_.output && !pending.printout.empty()) {
-          *config_.output << pending.printout;
-        }
-        if (pending.halt) halted_ = true;
+        const std::string_view text = fired.text(firing);
+        if (config_.output && !text.empty()) *config_.output << text;
+        if (firing.halt) halted_ = true;
         cycle_stats.fired += 1;
       }
-      site.pending.clear();
+      site.fired.clear();
     }
     if (reliable_) retransmit_due(stats);
   }

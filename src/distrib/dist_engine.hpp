@@ -109,8 +109,8 @@ class DistributedEngine {
   struct OutEntry;
   struct InFlight;
 
-  void route_op(unsigned from_site, const PendingOp& op,
-                const WorkingMemory& from_wm, DistStats& stats);
+  void route_op(unsigned from_site, const FiringBuffer& buffer,
+                const BufferedOp& op, DistStats& stats);
   bool cycle(DistStats& stats);
 
   // --- reliable routing layer (active only when reliable_) ---

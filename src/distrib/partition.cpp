@@ -42,12 +42,20 @@ PartitionScheme::PartitionScheme(
 }
 
 unsigned PartitionScheme::site_of(TemplateId tmpl,
-                                  const std::vector<Value>& slots,
+                                  std::span<const Value> slots,
                                   unsigned site_count) const {
   const int p = slots_[tmpl];
   if (p < 0 || site_count <= 1) return 0;
   return static_cast<unsigned>(slots[static_cast<std::size_t>(p)].hash() %
                                site_count);
+}
+
+unsigned PartitionScheme::site_of(const FactView& fact,
+                                  unsigned site_count) const {
+  const int p = slots_[fact.tmpl()];
+  if (p < 0 || site_count <= 1) return 0;
+  return static_cast<unsigned>(
+      fact.slot_hash(static_cast<std::size_t>(p)) % site_count);
 }
 
 std::vector<std::string> PartitionScheme::validate(

@@ -20,11 +20,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "lang/program.hpp"
+#include "wm/fact_store.hpp"
 
 namespace parulel {
 
@@ -44,8 +46,10 @@ class PartitionScheme {
   bool replicated(TemplateId tmpl) const { return slots_[tmpl] < 0; }
 
   /// Owning site of a fact's content.
-  unsigned site_of(TemplateId tmpl, const std::vector<Value>& slots,
+  unsigned site_of(TemplateId tmpl, std::span<const Value> slots,
                    unsigned site_count) const;
+  /// Owning site of a stored fact's content, from its cached slot hash.
+  unsigned site_of(const FactView& fact, unsigned site_count) const;
 
   /// Structural validation: every rule's positive CEs of partitioned
   /// templates must join on the partition attribute through a shared

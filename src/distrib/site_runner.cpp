@@ -418,43 +418,64 @@ void SiteRunner::handle_ack_line(unsigned to, const std::string& line) {
   });
 }
 
-void SiteRunner::route_op(const PendingOp& op,
+void SiteRunner::route_op(const BufferedOp& op,
                           std::vector<ClusterOp>& local_ops) {
-  auto deliver = [&](unsigned to, ClusterOp cop) {
-    if (to == opt_.site_id) {
-      // Local: apply immediately, preserving op order at this site, and
-      // record for the WAL — replay must reproduce it.
-      apply_cluster_op(*wm_, cop);
-      local_ops.push_back(std::move(cop));
+  // Ops this site owns apply in place, preserving op order here, and
+  // are recorded for the WAL (replay must reproduce them); ops owned
+  // elsewhere join their channel's pending map.
+  auto route_assert = [&] {
+    const std::span<const Value> slots = fired_.slots(op);
+    auto deliver = [&](unsigned to) {
+      if (to == opt_.site_id) {
+        wm_->assert_hashed(op.tmpl, slots, fired_.slot_hashes(op),
+                           op.content_hash);
+        if (journal_) {
+          local_ops.push_back(
+              {ClusterOp::Kind::Assert, op.tmpl, {slots.begin(), slots.end()}});
+        }
+      } else {
+        enqueue_send(to, {ClusterOp::Kind::Assert, op.tmpl,
+                          {slots.begin(), slots.end()}});
+      }
+    };
+    if (scheme_.replicated(op.tmpl)) {
+      for (unsigned s = 0; s < opt_.sites; ++s) deliver(s);
     } else {
-      enqueue_send(to, std::move(cop));
+      deliver(scheme_.site_of(op.tmpl, slots, opt_.sites));
     }
   };
-  auto route_content = [&](ClusterOp cop) {
-    if (scheme_.replicated(cop.tmpl)) {
-      for (unsigned s = 0; s < opt_.sites; ++s) deliver(s, cop);
+  // Retracts carry content: the retracted record stays readable.
+  auto route_retract = [&] {
+    const FactView fact = wm_->view(op.retract_id);
+    auto deliver = [&](unsigned to) {
+      if (to == opt_.site_id) {
+        if (auto id = wm_->find(fact)) wm_->retract(*id);
+        if (journal_) {
+          local_ops.push_back(
+              {ClusterOp::Kind::Retract, fact.tmpl(), fact.copy_slots()});
+        }
+      } else {
+        enqueue_send(to, {ClusterOp::Kind::Retract, fact.tmpl(),
+                          fact.copy_slots()});
+      }
+    };
+    if (scheme_.replicated(fact.tmpl())) {
+      for (unsigned s = 0; s < opt_.sites; ++s) deliver(s);
     } else {
-      const unsigned owner = scheme_.site_of(cop.tmpl, cop.slots, opt_.sites);
-      deliver(owner, std::move(cop));
+      deliver(scheme_.site_of(fact, opt_.sites));
     }
   };
   switch (op.kind) {
-    case PendingOp::Kind::Assert:
-      route_content({ClusterOp::Kind::Assert, op.tmpl, op.slots});
+    case BufferedOp::Kind::Assert:
+      route_assert();
       break;
-    case PendingOp::Kind::Retract: {
-      const FactView fact = wm_->view(op.retract_id);
-      route_content({ClusterOp::Kind::Retract, fact.tmpl(),
-                     fact.copy_slots()});
+    case BufferedOp::Kind::Retract:
+      route_retract();
       break;
-    }
-    case PendingOp::Kind::Modify: {
-      const FactView fact = wm_->view(op.retract_id);
-      route_content({ClusterOp::Kind::Retract, fact.tmpl(),
-                     fact.copy_slots()});
-      route_content({ClusterOp::Kind::Assert, op.tmpl, op.slots});
+    case BufferedOp::Kind::Modify:
+      route_retract();
+      route_assert();
       break;
-    }
   }
 }
 
@@ -661,15 +682,14 @@ void SiteRunner::run_cycle(std::uint64_t cycle) {
   // Phase 2: match + meta-redact + fire against the local snapshot —
   // the same recognize-act phase a simulated site runs (dist_engine.cpp
   // phase 2), minus the thread pool: this whole process IS one site.
-  std::vector<PendingOps> pending;
+  fired_.clear();
   matcher_->apply_delta(*wm_, wm_->drain_delta());
   ConflictSet& cs = matcher_->conflict_set();
   const std::vector<InstId> eligible = cs.alive_ids();
   if (!eligible.empty()) {
     const std::vector<InstId> to_fire = meta_.run(*wm_, cs, eligible).to_fire;
-    pending.resize(to_fire.size());
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
-      fire_buffered(program_, cs.get(to_fire[i]), *wm_, pending[i]);
+      fire_buffered(program_, cs.get(to_fire[i]), *wm_, fired_);
       cs.mark_fired(to_fire[i]);
     }
     fired_this_cycle_ = to_fire.size();
@@ -679,13 +699,15 @@ void SiteRunner::run_cycle(std::uint64_t cycle) {
   // Phase 3: route buffered ops — local ops apply in place, remote ops
   // join their channel's pending map.
   std::vector<ClusterOp> local_ops;
-  for (PendingOps& po : pending) {
-    for (const PendingOp& op : po.ops) route_op(op, local_ops);
-    if (!po.printout.empty()) {
-      std::cout << po.printout;
+  for (std::size_t f = 0; f < fired_.size(); ++f) {
+    const BufferedFiring& firing = fired_.firing(f);
+    for (const BufferedOp& op : fired_.ops(firing)) route_op(op, local_ops);
+    const std::string_view text = fired_.text(firing);
+    if (!text.empty()) {
+      std::cout << text;
       std::cout.flush();
     }
-    if (po.halt) halted_ = true;
+    if (firing.halt) halted_ = true;
   }
 
   // Phase 4: make the cycle durable, THEN ack — ack-after-durable is

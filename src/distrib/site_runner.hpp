@@ -147,7 +147,7 @@ class SiteRunner {
   void accept_pending();        // new inbound conns -> handshaking_
   void process_handshakes();    // accept + answer inbound cc-hellos
   void run_cycle(std::uint64_t cycle);
-  void route_op(const PendingOp& op, std::vector<ClusterOp>& local_ops);
+  void route_op(const BufferedOp& op, std::vector<ClusterOp>& local_ops);
   void enqueue_send(unsigned to, ClusterOp op);
   void transmit(unsigned to, OutEntry& entry);
   void send_due(std::uint64_t cycle);
@@ -167,6 +167,7 @@ class SiteRunner {
 
   std::unique_ptr<WorkingMemory> wm_;
   std::unique_ptr<Matcher> matcher_;
+  FiringBuffer fired_;  ///< this cycle's buffered firings
   std::vector<ChannelRecvState> recv_;
   std::vector<Peer> peers_;
   std::vector<InboxMsg> inbox_;

@@ -1,7 +1,5 @@
 #include "engine/actions.hpp"
 
-#include <sstream>
-
 #include "support/error.hpp"
 
 namespace parulel {
@@ -98,42 +96,70 @@ DirectFireResult fire_direct(const Program& program,
   return result;
 }
 
+void FiringBuffer::clear() {
+  ops_.clear();
+  values_.clear();
+  hashes_.clear();
+  text_.clear();
+  firings_.clear();
+}
+
 void fire_buffered(const Program& program, const Instantiation& inst,
-                   const WorkingMemory& wm, PendingOps& out) {
+                   const WorkingMemory& wm, FiringBuffer& out) {
   const CompiledRule& rule = program.rules[inst.rule];
-  std::vector<Value> env;
+  std::vector<Value>& env = out.env_;
   rebuild_env(
       rule, inst.facts,
       [&](FactId f) { return wm.view(f); }, env);
 
-  std::ostringstream printout;
+  BufferedFiring firing;
+  firing.op_begin = static_cast<std::uint32_t>(out.ops_.size());
+  firing.text_begin = static_cast<std::uint32_t>(out.text_.size());
+  // Record an Assert / Modify whose new content is values_[begin, end),
+  // hashing it here so the serial merge does not.
+  auto push_content = [&](BufferedOp::Kind kind, TemplateId tmpl,
+                          FactId retract_id, std::size_t begin) {
+    const std::span<const Value> slots =
+        std::span<const Value>(out.values_).subspan(begin);
+    BufferedOp op;
+    op.kind = kind;
+    op.tmpl = tmpl;
+    op.retract_id = retract_id;
+    op.slot_begin = static_cast<std::uint32_t>(begin);
+    op.slot_count = static_cast<std::uint32_t>(slots.size());
+    op.content_hash = hash_fact_slots(tmpl, slots, out.hashes_);
+    out.ops_.push_back(op);
+  };
   for (const auto& action : rule.actions) {
     switch (action.kind) {
       case CompiledAction::Kind::Assert: {
-        PendingOp op;
-        op.kind = PendingOp::Kind::Assert;
-        op.tmpl = action.tmpl;
-        op.slots = eval_assert_slots(action, env);
-        out.ops.push_back(std::move(op));
+        const std::size_t begin = out.values_.size();
+        for (const auto& expr : action.slot_values) {
+          out.values_.push_back(expr.eval(env));
+        }
+        push_content(BufferedOp::Kind::Assert, action.tmpl, kInvalidFact,
+                     begin);
         break;
       }
       case CompiledAction::Kind::Retract: {
-        PendingOp op;
-        op.kind = PendingOp::Kind::Retract;
+        BufferedOp op;
+        op.kind = BufferedOp::Kind::Retract;
         op.retract_id = inst.facts[static_cast<std::size_t>(action.ce_index)];
-        out.ops.push_back(std::move(op));
+        out.ops_.push_back(op);
         break;
       }
       case CompiledAction::Kind::Modify: {
         const FactId target =
             inst.facts[static_cast<std::size_t>(action.ce_index)];
         const FactView fact = wm.view(target);
-        PendingOp op;
-        op.kind = PendingOp::Kind::Modify;
-        op.retract_id = target;
-        op.tmpl = fact.tmpl();
-        op.slots = eval_modified_slots(action, fact, env);
-        out.ops.push_back(std::move(op));
+        const std::size_t begin = out.values_.size();
+        for (std::uint32_t i = 0; i < fact.slot_count(); ++i) {
+          out.values_.push_back(fact.slot(i));
+        }
+        for (const auto& [slot, expr] : action.slot_updates) {
+          out.values_[begin + static_cast<std::size_t>(slot)] = expr.eval(env);
+        }
+        push_content(BufferedOp::Kind::Modify, fact.tmpl(), target, begin);
         break;
       }
       case CompiledAction::Kind::Bind:
@@ -141,36 +167,43 @@ void fire_buffered(const Program& program, const Instantiation& inst,
             action.args[0].eval(env);
         break;
       case CompiledAction::Kind::Halt:
-        out.halt = true;
-        out.printout += printout.str();
-        return;
+        firing.halt = true;
+        break;
       case CompiledAction::Kind::Printout: {
         for (const auto& item : action.args) {
-          printout << item.eval(env).to_string(*program.symbols);
+          item.eval(env).append_to(out.text_, *program.symbols);
         }
-        printout << '\n';
+        out.text_ += '\n';
         break;
       }
       case CompiledAction::Kind::Redact:
         throw RuntimeError("redact reached an object-level firing");
     }
+    if (firing.halt) break;
   }
-  out.printout += printout.str();
+  firing.op_end = static_cast<std::uint32_t>(out.ops_.size());
+  firing.text_end = static_cast<std::uint32_t>(out.text_.size());
+  out.firings_.push_back(firing);
 }
 
-void apply_pending(const PendingOps& pending, WorkingMemory& wm,
-                   std::ostream* output, MergeResult& result) {
-  for (const auto& op : pending.ops) {
+void apply_firing(const FiringBuffer& buffer, std::size_t index,
+                  WorkingMemory& wm, std::ostream* output,
+                  MergeResult& result) {
+  const BufferedFiring& firing = buffer.firing(index);
+  auto assert_content = [&](const BufferedOp& op) {
+    if (wm.assert_hashed(op.tmpl, buffer.slots(op), buffer.slot_hashes(op),
+                         op.content_hash) == kInvalidFact) {
+      ++result.duplicate_asserts;
+    } else {
+      ++result.asserts;
+    }
+  };
+  for (const BufferedOp& op : buffer.ops(firing)) {
     switch (op.kind) {
-      case PendingOp::Kind::Assert: {
-        if (wm.assert_fact(op.tmpl, op.slots) == kInvalidFact) {
-          ++result.duplicate_asserts;
-        } else {
-          ++result.asserts;
-        }
+      case BufferedOp::Kind::Assert:
+        assert_content(op);
         break;
-      }
-      case PendingOp::Kind::Retract: {
+      case BufferedOp::Kind::Retract: {
         if (wm.retract(op.retract_id)) {
           ++result.retracts;
         } else {
@@ -178,7 +211,7 @@ void apply_pending(const PendingOps& pending, WorkingMemory& wm,
         }
         break;
       }
-      case PendingOp::Kind::Modify: {
+      case BufferedOp::Kind::Modify: {
         if (!wm.retract(op.retract_id)) {
           // Another instantiation won the race for this fact; its view
           // of the modify is void (first-writer-wins).
@@ -186,17 +219,14 @@ void apply_pending(const PendingOps& pending, WorkingMemory& wm,
           break;
         }
         ++result.retracts;
-        if (wm.assert_fact(op.tmpl, op.slots) == kInvalidFact) {
-          ++result.duplicate_asserts;
-        } else {
-          ++result.asserts;
-        }
+        assert_content(op);
         break;
       }
     }
   }
-  if (output && !pending.printout.empty()) *output << pending.printout;
-  if (pending.halt) result.halt = true;
+  const std::string_view text = buffer.text(firing);
+  if (output && !text.empty()) *output << text;
+  if (firing.halt) result.halt = true;
 }
 
 }  // namespace parulel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/actions.hpp"
 #include "obs/report.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -30,7 +29,8 @@ ParallelEngine::ParallelEngine(const Program& program, EngineConfig config)
                       ? nullptr
                       : std::make_unique<ThreadPool>(std::max(1u, config.threads))),
       pool_(config.pool ? config.pool : owned_pool_.get()),
-      meta_(program) {
+      meta_(program),
+      buffers_(pool_->thread_count()) {
   if (config_.matcher == MatcherKind::Rete) {
     throw RuntimeError(
         "the parallel engine requires a TREAT-family matcher");
@@ -63,6 +63,9 @@ bool ParallelEngine::step(RunStats& stats) {
   std::vector<InstId> eligible = cs.alive_ids();
   cycle.conflict_set_size = eligible.size();
   if (eligible.empty()) {
+    // The quiescence check is no cycle, but its match is run time.
+    stats.match_ns += cycle.match_ns;
+    stats.quiesce_match_ns += cycle.match_ns;
     stats.quiescent = true;
     return false;
   }
@@ -101,13 +104,21 @@ bool ParallelEngine::step(RunStats& stats) {
     return false;
   }
 
-  // Phase 3: parallel firing against the frozen snapshot.
-  std::vector<PendingOps> pending(to_fire.size());
+  // Phase 3: parallel firing against the frozen snapshot. Each worker
+  // appends to its own buffer; fired_[i] remembers where firing i went.
+  // Two captures keep the closure inside std::function's in-place
+  // storage, so a warmed fire phase allocates nothing.
+  for (FiringBuffer& buffer : buffers_) buffer.clear();
+  fired_.resize(to_fire.size());
   {
     ScopedAccumulator t(cycle.fire_ns);
-    pool_->parallel_for(0, to_fire.size(), [&](std::size_t i, unsigned) {
-      fire_buffered(program_, cs.get(to_fire[i]), wm_, pending[i]);
-    });
+    pool_->parallel_for(
+        0, to_fire.size(), [this, &to_fire](std::size_t i, unsigned w) {
+          FiringBuffer& buffer = buffers_[w];
+          fire_buffered(program_, matcher_->conflict_set().get(to_fire[i]),
+                        wm_, buffer);
+          fired_[i] = {w, static_cast<std::uint32_t>(buffer.size() - 1)};
+        });
   }
 
   // Phase 4: deterministic merge (ascending instantiation id).
@@ -121,7 +132,8 @@ bool ParallelEngine::step(RunStats& stats) {
             {stats.cycles, inst.rule, {inst.facts.begin(), inst.facts.end()}});
       }
       cs.mark_fired(to_fire[i]);
-      apply_pending(pending[i], wm_, config_.output, merged);
+      apply_firing(buffers_[fired_[i].worker], fired_[i].index, wm_,
+                   config_.output, merged);
     }
     cycle.fired = to_fire.size();
     cycle.asserts = merged.asserts;

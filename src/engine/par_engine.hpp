@@ -22,6 +22,7 @@
 
 #include <memory>
 
+#include "engine/actions.hpp"
 #include "engine/engine.hpp"
 #include "meta/meta_engine.hpp"
 #include "runtime/thread_pool.hpp"
@@ -71,6 +72,14 @@ class ParallelEngine : public Engine {
   ThreadPool* pool_;                        ///< owned_pool_ or config.pool
   std::unique_ptr<Matcher> matcher_;
   MetaEngine meta_;
+  /// Fire-phase buffers, one per pool worker, reused every cycle.
+  std::vector<FiringBuffer> buffers_;
+  /// Where firing i of this cycle's to_fire went: buffer and index.
+  struct FiredAt {
+    unsigned worker = 0;
+    std::uint32_t index = 0;
+  };
+  std::vector<FiredAt> fired_;
   bool halted_ = false;
 
   // Previous-cycle cumulative snapshots for trace deltas.

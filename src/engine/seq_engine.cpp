@@ -51,6 +51,9 @@ bool SequentialEngine::step(RunStats& stats) {
   const InstId chosen = select_instantiation(cs, program_.rules,
                                              config_.strategy, rng_);
   if (chosen == kInvalidInst) {
+    // The quiescence check is no cycle, but its match is run time.
+    stats.match_ns += cycle.match_ns;
+    stats.quiesce_match_ns += cycle.match_ns;
     stats.quiescent = true;
     return false;
   }

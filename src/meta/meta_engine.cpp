@@ -25,6 +25,9 @@ struct MetaEngine::Workspace {
   std::vector<std::size_t> newly_redacted;  ///< positions, this round
   JoinScratch scratch;
   std::vector<Value> env;
+  std::vector<char> present;  ///< by meta template: has an eligible inst
+  std::vector<char> reify;    ///< by meta template: a live rule reads it
+  std::vector<char> live;     ///< by meta rule: can match this cycle
 };
 
 MetaEngine::MetaEngine(const Program& program) : program_(program) {}
@@ -46,14 +49,46 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
   }
 
   if (!ws_) ws_ = std::make_unique<Workspace>(program_);
+
+  // Gate: a meta-rule with a positive CE on an inst template that no
+  // eligible instantiation has cannot match this cycle. With every rule
+  // dead, everything fires and the meta level does not run; otherwise
+  // only the inst templates some live rule reads are reified. The meta
+  // schema holds only inst templates, so both are exact.
+  std::vector<char>& present = ws_->present;
+  std::vector<char>& reify = ws_->reify;
+  std::vector<char>& live = ws_->live;
+  present.assign(program_.meta_schema.size(), 0);
+  reify.assign(program_.meta_schema.size(), 0);
+  live.assign(program_.meta_rules.size(), 0);
+  for (InstId id : eligible) {
+    present[program_.inst_templates[cs.get(id).rule]] = 1;
+  }
+  bool any_live = false;
+  for (const CompiledRule& mrule : program_.meta_rules) {
+    const bool can_match = std::all_of(
+        mrule.positives.begin(), mrule.positives.end(),
+        [&](const CompiledPattern& ce) { return present[ce.tmpl] != 0; });
+    if (!can_match) continue;
+    live[mrule.id] = 1;
+    any_live = true;
+    for (const CompiledPattern& ce : mrule.positives) reify[ce.tmpl] = 1;
+    for (const CompiledPattern& ce : mrule.negatives) reify[ce.tmpl] = 1;
+  }
+  if (!any_live) {
+    outcome.to_fire = eligible;
+    clock.lap(outcome.query_ns);
+    return outcome;
+  }
+
   WorkingMemory& meta_wm = ws_->wm;
   TreatMatcher& matcher = ws_->matcher;
   meta_wm.clear();
   matcher.clear();
-  // meta_facts[k] is the meta fact of eligible[k]; per-cycle state below
-  // is indexed by that position k.
+  // meta_facts[k] is the meta fact of eligible[k] (kInvalidFact when not
+  // reified); per-cycle state below is indexed by that position k.
   const std::vector<FactId> meta_facts =
-      reify_conflict_set(program_, object_wm, cs, eligible, meta_wm);
+      reify_conflict_set(program_, object_wm, cs, eligible, meta_wm, reify);
   clock.lap(outcome.reify_ns);
   auto position_of = [&](InstId id) {
     return static_cast<std::size_t>(
@@ -141,7 +176,7 @@ MetaOutcome MetaEngine::run(const WorkingMemory& object_wm,
     // meta WM. Past round 1 only rules with quantified CEs can have
     // gained a match.
     for (const CompiledRule& mrule : program_.meta_rules) {
-      if (!mrule.existential() ||
+      if (!mrule.existential() || !live[mrule.id] ||
           (outcome.rounds > 1 && mrule.negatives.empty())) {
         continue;
       }

@@ -26,6 +26,13 @@
 // workspace is mutable state, run() is not const and one MetaEngine
 // serves one engine or site at a time.
 //
+// Gating: a meta-rule with a positive CE on an inst template that no
+// eligible instantiation has is dead for the cycle. When every meta-rule
+// is dead, run() returns the eligible set with 0 rounds and reifies
+// nothing; otherwise it reifies only the instantiations whose inst
+// template a live rule reads in some CE. The meta schema holds only inst
+// templates, so the redaction set is that of full reification.
+//
 // Termination: a redacted instantiation's meta fact is withdrawn and
 // never re-asserted within the fixpoint, and meta-level refraction stops
 // repeat firings, so the redacted set grows monotonically and the loop
@@ -55,7 +62,7 @@ struct MetaOutcome {
   std::vector<InstId> to_fire;
   std::uint64_t meta_firings = 0;   ///< enumerated meta instantiations fired
   std::uint64_t witnesses = 0;      ///< redactions found by existential query
-  std::uint64_t rounds = 0;
+  std::uint64_t rounds = 0;         ///< 0 when no meta-rule can match
 
   // Where the run's time went: consecutive laps of one clock from entry
   // to return, so the three sum exactly to redact_ns().

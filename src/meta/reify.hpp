@@ -14,6 +14,7 @@
 // variable slot = its bound value.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "lang/program.hpp"
@@ -25,10 +26,14 @@ namespace parulel {
 /// Assert one meta fact per instantiation id in `eligible` (ascending
 /// order for determinism). Returns, aligned with `eligible`, the meta
 /// FactId of each reified instantiation (so redactions can retract them).
+/// A non-empty `reify_tmpls` (by meta TemplateId) restricts reification
+/// to instantiations whose inst template is marked; the others get
+/// kInvalidFact.
 std::vector<FactId> reify_conflict_set(const Program& program,
                                        const WorkingMemory& object_wm,
                                        const ConflictSet& cs,
                                        const std::vector<InstId>& eligible,
-                                       WorkingMemory& meta_wm);
+                                       WorkingMemory& meta_wm,
+                                       std::span<const char> reify_tmpls = {});
 
 }  // namespace parulel

@@ -195,6 +195,7 @@ constexpr FieldDef<RunStats> kRunFields[] = {
     {"peak_conflict_set", &RunStats::peak_conflict_set},
     {"wall_ns", &RunStats::wall_ns},
     {"match_ns", &RunStats::match_ns},
+    {"quiesce_match_ns", &RunStats::quiesce_match_ns},
     {"redact_ns", &RunStats::redact_ns},
     {"fire_ns", &RunStats::fire_ns},
     {"merge_ns", &RunStats::merge_ns},

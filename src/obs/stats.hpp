@@ -92,7 +92,11 @@ struct RunStats {
   TerminationReason termination = TerminationReason::Unknown;
   std::uint64_t wall_ns = 0;
 
+  /// Sum of every cycle's match_ns plus quiesce_match_ns.
   std::uint64_t match_ns = 0;
+  /// The match of the step that found the conflict set empty and ended
+  /// the run. That step is not a cycle, so no CycleStats carries it.
+  std::uint64_t quiesce_match_ns = 0;
   std::uint64_t redact_ns = 0;
   std::uint64_t fire_ns = 0;
   std::uint64_t merge_ns = 0;

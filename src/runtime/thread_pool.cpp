@@ -9,26 +9,40 @@
 
 namespace parulel {
 
-/// A fork-join batch: a vector of jobs plus a next-job cursor. Lives on
-/// the submitting thread's stack; run_batch() does not return (and so
-/// does not destroy it) until every worker that entered it has left.
+/// A fork-join batch: either a vector of jobs or a chunked index range,
+/// plus a next-job cursor. Lives on the submitting thread's stack;
+/// submit() does not return (and so does not destroy it) until every
+/// worker that entered it has left. A range batch computes each chunk's
+/// bounds from its index, so parallel_for allocates nothing.
 struct ThreadPool::Batch {
+  std::size_t count = 0;  ///< jobs, or chunks of the range
   const std::vector<std::function<void(unsigned)>>* jobs = nullptr;
+  const std::function<void(std::size_t, unsigned)>* range_fn = nullptr;
+  std::size_t begin = 0, end = 0, chunk_size = 0;
   ThreadPool::WorkerStat* worker_stats = nullptr;
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
+  void run_job(std::size_t i, unsigned worker_id) const {
+    if (jobs) {
+      (*jobs)[i](worker_id);
+      return;
+    }
+    const std::size_t lo = begin + i * chunk_size;
+    const std::size_t hi = std::min(end, lo + chunk_size);
+    for (std::size_t k = lo; k < hi; ++k) (*range_fn)(k, worker_id);
+  }
+
   // Claims and runs jobs until none are left unclaimed.
   void run_some(unsigned worker_id) {
-    const std::size_t n = jobs->size();
     WorkerStat& stat = worker_stats[worker_id];
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+      if (i >= count) return;
       const Timer job_timer;
       try {
-        (*jobs)[i](worker_id);
+        run_job(i, worker_id);
       } catch (...) {
         std::scoped_lock lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -37,6 +51,32 @@ struct ThreadPool::Batch {
       stat.busy_ns.fetch_add(job_timer.elapsed_ns(),
                              std::memory_order_relaxed);
     }
+  }
+
+  // Publish the batch to the workers, run it with the caller as worker
+  // 0, and return once every worker has left it.
+  void submit(ThreadPool& pool) {
+    worker_stats = pool.worker_stats_.get();
+    {
+      std::scoped_lock lock(pool.mutex_);
+      assert(pool.current_ == nullptr && "nested batches are not supported");
+      pool.current_ = this;
+      ++pool.generation_;
+    }
+    pool.work_ready_.notify_all();
+
+    run_some(0);  // The caller is worker 0.
+    // Every job is claimed once run_some returns; a claimed job finishes
+    // before its worker leaves the batch. So once no worker can enter
+    // any more and none is inside, every job is done and the batch may
+    // die.
+    {
+      std::unique_lock lock(pool.mutex_);
+      pool.current_ = nullptr;
+      pool.batch_left_.wait(lock, [&pool] { return pool.inside_ == 0; });
+    }
+
+    if (first_error) std::rethrow_exception(first_error);
   }
 };
 
@@ -123,27 +163,9 @@ void ThreadPool::run_batch(
   }
 
   Batch batch;
+  batch.count = jobs.size();
   batch.jobs = &jobs;
-  batch.worker_stats = worker_stats_.get();
-  {
-    std::scoped_lock lock(mutex_);
-    assert(current_ == nullptr && "nested batches are not supported");
-    current_ = &batch;
-    ++generation_;
-  }
-  work_ready_.notify_all();
-
-  batch.run_some(0);  // The caller is worker 0.
-  // Every job is claimed once run_some returns; a claimed job finishes
-  // before its worker leaves the batch. So once no worker can enter any
-  // more and none is inside, every job is done and `batch` may die.
-  {
-    std::unique_lock lock(mutex_);
-    current_ = nullptr;
-    batch_left_.wait(lock, [this] { return inside_ == 0; });
-  }
-
-  if (batch.first_error) std::rethrow_exception(batch.first_error);
+  batch.submit(*this);
 }
 
 void ThreadPool::parallel_for(
@@ -165,17 +187,14 @@ void ThreadPool::parallel_for(
   // dispatch overhead.
   const std::size_t chunks = std::min<std::size_t>(n, threads_ * 4ull);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::function<void(unsigned)>> jobs;
-  jobs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    jobs.push_back([lo, hi, &fn](unsigned worker_id) {
-      for (std::size_t i = lo; i < hi; ++i) fn(i, worker_id);
-    });
-  }
-  run_batch(jobs);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  Batch batch;
+  batch.count = (n + chunk_size - 1) / chunk_size;
+  batch.range_fn = &fn;
+  batch.begin = begin;
+  batch.end = end;
+  batch.chunk_size = chunk_size;
+  batch.submit(*this);
 }
 
 }  // namespace parulel

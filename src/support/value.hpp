@@ -143,6 +143,8 @@ class Value {
 
   /// Render for diagnostics and printout actions.
   std::string to_string(const SymbolTable& symbols) const;
+  /// Append to_string()'s text to `out` without a temporary string.
+  void append_to(std::string& out, const SymbolTable& symbols) const;
 
  private:
   ValueKind kind_;

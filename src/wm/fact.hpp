@@ -37,6 +37,22 @@ inline std::size_t fact_content_hash(TemplateId tmpl,
   return h;
 }
 
+/// fact_content_hash in the same pass that appends each slot's
+/// Value::hash() to `slot_hashes` — the store's cached hash column.
+/// Whoever asserts (WorkingMemory::assert_fact, or a firing buffer that
+/// hashes while firing) computes both through this one function.
+inline std::size_t hash_fact_slots(TemplateId tmpl,
+                                   std::span<const Value> slots,
+                                   std::vector<std::size_t>& slot_hashes) {
+  std::size_t h = std::hash<std::uint32_t>{}(tmpl);
+  for (const Value& v : slots) {
+    const std::size_t vh = v.hash();
+    slot_hashes.push_back(vh);
+    h = hash_combine(h, vh);
+  }
+  return h;
+}
+
 /// Re-mix a content hash before XOR-accumulating it into an
 /// order-independent fingerprint (structured hash pairs would cancel
 /// under plain XOR). Shared by WorkingMemory::content_fingerprint and

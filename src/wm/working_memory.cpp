@@ -8,25 +8,6 @@
 
 namespace parulel {
 
-namespace {
-
-/// Per-slot hashes + canonical content hash in one pass. Must agree
-/// bit-for-bit with fact_content_hash(); the slot hashes feed the
-/// store's cached hash column.
-std::size_t hash_slots(TemplateId tmpl, std::span<const Value> slots,
-                       std::vector<std::size_t>& slot_hashes) {
-  slot_hashes.clear();
-  std::size_t h = std::hash<std::uint32_t>{}(tmpl);
-  for (const Value& v : slots) {
-    const std::size_t vh = v.hash();
-    slot_hashes.push_back(vh);
-    h = hash_combine(h, vh);
-  }
-  return h;
-}
-
-}  // namespace
-
 WorkingMemory::WorkingMemory(const Schema& schema) : schema_(schema) {
   extents_.resize(schema.size());
 }
@@ -45,25 +26,41 @@ void WorkingMemory::clear() {
 
 FactId WorkingMemory::assert_fact(TemplateId tmpl,
                                   std::span<const Value> slots) {
+  hash_scratch_.clear();
+  const std::size_t h = hash_fact_slots(tmpl, slots, hash_scratch_);
+  return assert_hashed(tmpl, slots, hash_scratch_, h);
+}
+
+FactId WorkingMemory::assert_hashed(TemplateId tmpl,
+                                    std::span<const Value> slots,
+                                    std::span<const std::size_t> slot_hashes,
+                                    std::size_t content_hash) {
   assert(tmpl < schema_.size());
   if (static_cast<int>(slots.size()) != schema_.at(tmpl).arity()) {
     throw RuntimeError("assert arity mismatch for template '" +
                        std::string("?") + "'");
   }
+#ifndef NDEBUG
+  assert(slot_hashes.size() == slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    assert(slot_hashes[i] == slots[i].hash() && "stale slot hash");
+  }
+  assert(content_hash == fact_content_hash(tmpl, slots) &&
+         "stale content hash");
+#endif
   // Set semantics: absorb duplicates of alive facts.
-  const std::size_t h = hash_slots(tmpl, slots, hash_scratch_);
-  auto& group = content_index_.group_for(h);
+  auto& group = content_index_.group_for(content_hash);
   for (const FactRow other : group) {
     if (store_.view_row(other).same_content(tmpl, slots)) return kInvalidFact;
   }
 
   const FactId id = next_id_++;
-  const FactRow row = store_.append(id, tmpl, slots, hash_scratch_, h);
+  const FactRow row = store_.append(id, tmpl, slots, slot_hashes, content_hash);
   extent_pos_.push_back(extents_[tmpl].size());
   extents_[tmpl].push_back(id);
   group.push_back(row);
   ++alive_count_;
-  fingerprint_ ^= fingerprint_mix(h);
+  fingerprint_ ^= fingerprint_mix(content_hash);
   pending_.added.push_back(id);
   return id;
 }
@@ -77,7 +74,8 @@ FactId WorkingMemory::assert_fact_at(FactId id, TemplateId tmpl,
   if (static_cast<int>(slots.size()) != schema_.at(tmpl).arity()) {
     throw RuntimeError("assert_fact_at: arity mismatch");
   }
-  const std::size_t h = hash_slots(tmpl, slots, hash_scratch_);
+  hash_scratch_.clear();
+  const std::size_t h = hash_fact_slots(tmpl, slots, hash_scratch_);
   auto& group = content_index_.group_for(h);
   for (const FactRow other : group) {
     if (store_.view_row(other).same_content(tmpl, slots)) {
@@ -169,6 +167,16 @@ std::optional<FactId> WorkingMemory::find(
     for (const FactRow row : *g) {
       const FactView fact = store_.view_row(row);
       if (fact.same_content(tmpl, slots)) return fact.id();
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<FactId> WorkingMemory::find(const FactView& fact) const {
+  if (const auto* g = content_index_.find(fact.content_hash())) {
+    for (const FactRow row : *g) {
+      const FactView mine = store_.view_row(row);
+      if (mine.same_content(fact)) return mine.id();
     }
   }
   return std::nullopt;

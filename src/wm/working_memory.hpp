@@ -17,7 +17,7 @@
 //    out.
 //  - *Single-writer.* WM mutation is only ever performed by the engine's
 //    merge phase on one thread; parallel RHS execution writes to per-
-//    thread DeltaBuffers (see engine/), never to WM directly.
+//    worker FiringBuffers (engine/actions.hpp), never to WM directly.
 #pragma once
 
 #include <cassert>
@@ -57,6 +57,16 @@ class WorkingMemory {
   FactId assert_fact(TemplateId tmpl, std::initializer_list<Value> slots) {
     return assert_fact(tmpl, std::span<const Value>(slots.begin(), slots.size()));
   }
+
+  /// assert_fact with the hashing already done: `slot_hashes` holds
+  /// each slot's Value::hash() and `content_hash` is
+  /// fact_content_hash(tmpl, slots), as hash_fact_slots computes them.
+  /// assert_fact is hash_fact_slots + this; the buffered engines hash
+  /// while firing and call it from their serial merge. Debug builds
+  /// recompute both hashes and assert they agree.
+  FactId assert_hashed(TemplateId tmpl, std::span<const Value> slots,
+                       std::span<const std::size_t> slot_hashes,
+                       std::size_t content_hash);
 
   /// Empty the store back to its just-constructed state: no facts, no
   /// pending delta, ids restarting at 1. Capacity is kept, and the cost
@@ -108,6 +118,9 @@ class WorkingMemory {
   /// Find the alive fact with this exact content, if any.
   std::optional<FactId> find(TemplateId tmpl,
                              const std::vector<Value>& slots) const;
+  /// Find the alive fact with `fact`'s content — a view into this or any
+  /// other store of the same schema — probing with its cached hash.
+  std::optional<FactId> find(const FactView& fact) const;
 
   /// All alive facts of a template (unordered).
   const std::vector<FactId>& extent(TemplateId tmpl) const;

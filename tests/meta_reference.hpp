@@ -139,9 +139,9 @@ inline MetaDrive drive_meta_against_reference(const Program& program,
                         expected.end(), std::back_inserter(to_fire));
     EXPECT_EQ(outcome.to_fire, to_fire) << "cycle " << cycle;
     if (to_fire.empty()) break;
-    std::vector<PendingOps> pending(to_fire.size());
+    FiringBuffer fired;
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
-      fire_buffered(program, cs.get(to_fire[i]), wm, pending[i]);
+      fire_buffered(program, cs.get(to_fire[i]), wm, fired);
     }
     MergeResult merged;
     for (std::size_t i = 0; i < to_fire.size(); ++i) {
@@ -149,7 +149,7 @@ inline MetaDrive drive_meta_against_reference(const Program& program,
       drive.firings.push_back({static_cast<std::uint64_t>(cycle), inst.rule,
                                {inst.facts.begin(), inst.facts.end()}});
       cs.mark_fired(to_fire[i]);
-      apply_pending(pending[i], wm, &out, merged);
+      apply_firing(fired, i, wm, &out, merged);
     }
     if (merged.halt) break;
   }

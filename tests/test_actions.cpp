@@ -2,7 +2,7 @@
 //
 // The parallel engine's core safety property in miniature: for one
 // instantiation, fire_direct(wm) and fire_buffered(snapshot) +
-// apply_pending(wm) must leave working memory in identical states.
+// apply_firing(wm) must leave working memory in identical states.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -129,12 +129,12 @@ TEST_F(ActionTest, BufferedMatchesDirectOutcome) {
 
   // Buffered path against a snapshot, then merged.
   load(source);
-  PendingOps pending;
-  fire_buffered(program_, first_inst(), *wm_, pending);
+  FiringBuffer fired;
+  fire_buffered(program_, first_inst(), *wm_, fired);
   // Buffering must not touch working memory.
   EXPECT_EQ(wm_->alive_count(), 1u);
   MergeResult merged;
-  apply_pending(pending, *wm_, nullptr, merged);
+  apply_firing(fired, 0, *wm_, nullptr, merged);
   EXPECT_EQ(merged.asserts, 2u);
   EXPECT_EQ(merged.retracts, 1u);
   EXPECT_EQ(wm_->content_fingerprint(), direct_fp);
@@ -145,12 +145,12 @@ TEST_F(ActionTest, BufferedPrintoutIsDeferred) {
     (deftemplate n (slot v))
     (defrule r (n (v ?x)) => (printout "hello " ?x))
     (deffacts f (n (v 1))))");
-  PendingOps pending;
-  fire_buffered(program_, first_inst(), *wm_, pending);
-  EXPECT_EQ(pending.printout, "hello 1\n");
+  FiringBuffer fired;
+  fire_buffered(program_, first_inst(), *wm_, fired);
+  EXPECT_EQ(fired.text(fired.firing(0)), "hello 1\n");
   std::ostringstream out;
   MergeResult merged;
-  apply_pending(pending, *wm_, &out, merged);
+  apply_firing(fired, 0, *wm_, &out, merged);
   EXPECT_EQ(out.str(), "hello 1\n");
 }
 
@@ -160,12 +160,12 @@ TEST_F(ActionTest, BufferedModifyLosingRaceSkipsPairedAssert) {
     (defrule r ?f <- (n (v 0)) => (modify ?f (v 1)))
     (deffacts f (n (v 0))))");
   const Instantiation inst = first_inst();
-  PendingOps p1, p2;
-  fire_buffered(program_, inst, *wm_, p1);
-  fire_buffered(program_, inst, *wm_, p2);  // same target: a race
+  FiringBuffer fired;
+  fire_buffered(program_, inst, *wm_, fired);
+  fire_buffered(program_, inst, *wm_, fired);  // same target: a race
   MergeResult merged;
-  apply_pending(p1, *wm_, nullptr, merged);
-  apply_pending(p2, *wm_, nullptr, merged);
+  apply_firing(fired, 0, *wm_, nullptr, merged);
+  apply_firing(fired, 1, *wm_, nullptr, merged);
   EXPECT_EQ(merged.write_conflicts, 1u);
   EXPECT_EQ(wm_->alive_count(), 1u);  // no duplicate (v 1)
 }
@@ -180,6 +180,42 @@ TEST_F(ActionTest, DuplicateAssertIsAbsorbedAndCounted) {
       fire_direct(program_, first_inst(), *wm_, nullptr);
   EXPECT_EQ(res.asserts, 1u);
   EXPECT_EQ(res.duplicate_asserts, 1u);
+}
+
+// The fire phase hashes every Assert and Modify; the merge hands those
+// hashes to WorkingMemory::assert_hashed unchecked in release builds, so
+// they must be exactly what the store would compute.
+TEST_F(ActionTest, BufferedHashesAreTheStoresHashes) {
+  load(R"(
+    (deftemplate rec (slot a) (slot b) (slot c))
+    (deftemplate out (slot x) (slot y) (slot z))
+    (defrule r ?f <- (rec (a ?x) (b 0) (c ?c))
+      => (assert (out (x ?x) (y (* ?x 2)) (z ?c)))
+         (modify ?f (b (+ ?x 1))))
+    (deffacts f (rec (a 5) (b 0) (c sym))))");
+  FiringBuffer fired;
+  fire_buffered(program_, first_inst(), *wm_, fired);
+  const auto ops = fired.ops(fired.firing(0));
+  ASSERT_EQ(ops.size(), 2u);
+  for (const BufferedOp& op : ops) {
+    const std::span<const Value> slots = fired.slots(op);
+    const std::span<const std::size_t> hashes = fired.slot_hashes(op);
+    ASSERT_EQ(slots.size(), 3u);
+    ASSERT_EQ(hashes.size(), 3u);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_EQ(hashes[i], slots[i].hash()) << "slot " << i;
+    }
+    EXPECT_EQ(op.content_hash, fact_content_hash(op.tmpl, slots));
+  }
+  MergeResult merged;
+  apply_firing(fired, 0, *wm_, nullptr, merged);
+  EXPECT_EQ(merged.asserts, 2u);
+  for (const BufferedOp& op : ops) {
+    const auto id = wm_->find(op.tmpl, {fired.slots(op).begin(),
+                                        fired.slots(op).end()});
+    ASSERT_TRUE(id.has_value());
+    EXPECT_EQ(wm_->view(*id).content_hash(), op.content_hash);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Allocation tests: warmed-up steady-state conflict-set, quantifier-index
 // and unblock re-derivation work allocates nothing, and neither does
-// lexing program text.
+// lexing program text, firing into a warmed FiringBuffer, or the
+// thread pool's parallel_for.
 //
 // Its own executable because it replaces the global operator new with a
 // counting one. Each test warms its structures up to their peak shape,
@@ -14,11 +15,13 @@
 #include <span>
 #include <vector>
 
+#include "engine/actions.hpp"
 #include "lang/lexer.hpp"
 #include "lang/parser.hpp"
 #include "match/conflict_set.hpp"
 #include "match/quant_index.hpp"
 #include "match/treat.hpp"
+#include "runtime/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -184,6 +187,103 @@ TEST(Alloc, UnblockRederivationAllocatesNothing) {
             }),
             0u);
   EXPECT_EQ(found, 10'001u * 4);
+}
+
+// Asserts, retracts, modifies and a printout, each rule firing several
+// times, matched once so the conflict set is fixed.
+constexpr const char* kFiringProgram = R"(
+  (deftemplate n (slot v) (slot w))
+  (deftemplate out (slot v) (slot sq))
+  (defrule grow (n (v ?x) (w ?w)) => (assert (out (v ?x) (sq (* ?x ?x)))))
+  (defrule drop ?f <- (n (v ?x) (w 0)) => (retract ?f))
+  (defrule bump ?f <- (n (v ?x) (w 1)) => (modify ?f (w (+ ?x 2))))
+  (defrule say (n (v ?x) (w 2)) => (printout "n " ?x " is " two))
+  (deffacts f (n (v 1) (w 0)) (n (v 2) (w 1)) (n (v 3) (w 2))
+              (n (v 4) (w 0)) (n (v 5) (w 1)) (n (v 6) (w 2))))";
+
+struct FiringFixture {
+  Program program = parse_program(kFiringProgram);
+  WorkingMemory wm{program.schema};
+  TreatMatcher matcher{program.rules, program.alphas, program.schema.size()};
+  std::vector<InstId> to_fire;
+
+  FiringFixture() {
+    for (const auto& f : program.initial_facts) {
+      wm.assert_fact(f.tmpl, f.slots);
+    }
+    matcher.apply_delta(wm, wm.drain_delta());
+    to_fire = matcher.conflict_set().alive_ids();
+  }
+
+  /// Fire every instantiation into `buffer` (cleared first).
+  void fire_all(FiringBuffer& buffer) {
+    buffer.clear();
+    for (const InstId id : to_fire) {
+      fire_buffered(program, matcher.conflict_set().get(id), wm, buffer);
+    }
+  }
+};
+
+TEST(Alloc, WarmFiringBufferAllocatesNothing) {
+  FiringFixture fx;
+  ASSERT_EQ(fx.to_fire.size(), 12u);  // 6 grow, 2 drop, 2 bump, 2 say
+  FiringBuffer buffer;
+  fx.fire_all(buffer);
+  EXPECT_EQ(allocations_of([&] {
+              for (int r = 0; r < 1'000; ++r) fx.fire_all(buffer);
+            }),
+            0u);
+  // The work was done: every firing buffered, the printouts among them.
+  ASSERT_EQ(buffer.size(), 12u);
+  std::string text;
+  for (std::size_t f = 0; f < buffer.size(); ++f) {
+    text += buffer.text(buffer.firing(f));
+  }
+  EXPECT_EQ(text, "n 3 is two\nn 6 is two\n");
+}
+
+// The fire phase as ParallelEngine::step runs it at 4 threads: one
+// warmed buffer per worker, a closure small enough for std::function's
+// in-place storage, and parallel_for's chunks cut from a range rather
+// than built as one std::function each.
+TEST(Alloc, FirePhaseAtFourThreadsAllocatesNothing) {
+  FiringFixture fx;
+  ThreadPool pool(4);
+  std::vector<FiringBuffer> buffers(pool.thread_count());
+  // Each buffer once holds the whole cycle, so any split of the firings
+  // across workers fits in its capacity.
+  for (FiringBuffer& buffer : buffers) fx.fire_all(buffer);
+  auto cycle = [&] {
+    for (FiringBuffer& buffer : buffers) buffer.clear();
+    pool.parallel_for(0, fx.to_fire.size(), [&fx, &buffers](std::size_t i,
+                                                            unsigned w) {
+      fire_buffered(fx.program, fx.matcher.conflict_set().get(fx.to_fire[i]),
+                    fx.wm, buffers[w]);
+    });
+  };
+  cycle();
+  EXPECT_EQ(allocations_of([&] {
+              for (int r = 0; r < 1'000; ++r) cycle();
+            }),
+            0u);
+  std::size_t total = 0;
+  for (const FiringBuffer& buffer : buffers) total += buffer.size();
+  EXPECT_EQ(total, fx.to_fire.size());
+}
+
+TEST(Alloc, ParallelForAllocatesNothing) {
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> sum{0};
+  const std::function<void(std::size_t, unsigned)> fn =
+      [&sum](std::size_t i, unsigned) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+      };
+  pool.parallel_for(0, 1000, fn);
+  EXPECT_EQ(allocations_of([&] {
+              for (int r = 0; r < 1'000; ++r) pool.parallel_for(0, 1000, fn);
+            }),
+            0u);
+  EXPECT_EQ(sum.load(), 1001u * (999u * 1000u / 2));
 }
 
 }  // namespace

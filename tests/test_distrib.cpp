@@ -317,8 +317,8 @@ TEST(PartitionScheme, EmptyMapReplicatesEveryTemplate) {
   for (TemplateId t = 0; t < p.schema.size(); ++t) {
     EXPECT_TRUE(scheme.replicated(t));
     EXPECT_EQ(scheme.partition_slot(t), -1);
-    EXPECT_EQ(scheme.site_of(t, {Value::integer(9), Value::integer(3)}, 5),
-              0u);
+    const std::vector<Value> slots{Value::integer(9), Value::integer(3)};
+    EXPECT_EQ(scheme.site_of(t, slots, 5), 0u);
   }
   EXPECT_TRUE(scheme.validate(p).empty());
 

@@ -525,6 +525,77 @@ std::uint64_t firing_log_hash(const std::vector<FiringRecord>& log) {
   return h;
 }
 
+// ------------------------------------------------------------ gating
+
+// The meta-rule reads inst-a and inst-b. Cycles 1 and 3 have only `a`
+// eligible and cycle 4 only `b`: no meta-rule can match, so the meta
+// level must not run at all. Cycle 2 has both and redacts a(3), a(4),
+// which fire in cycle 3.
+constexpr const char* kGatedProgram = R"(
+  (deftemplate x (slot n))
+  (deftemplate y (slot n))
+  (deftemplate z (slot n))
+  (defrule a (x (n ?n)) (test (< ?n 5))
+    => (assert (x (n (+ ?n 2)))) (assert (y (n ?n))))
+  (defrule b (y (n ?n)) => (assert (z (n ?n))))
+  (defmetarule b-first (inst-a (id ?i) (n ?n)) (inst-b (id ?j) (n ?m))
+    (test (< ?m ?n)) => (redact ?i))
+  (deffacts f (x (n 1)) (x (n 2))))";
+
+TEST(MetaGate, CyclesNoMetaRuleCanMatchRunNoMetaLevel) {
+  const Program p = parse_program(kGatedProgram);
+  // Every cycle's redactions are the full-reification reference's.
+  EXPECT_EQ(testing_meta::expect_meta_matches_reference(p, 100), 2u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineConfig cfg;
+    cfg.matcher = MatcherKind::ParallelTreat;
+    cfg.threads = threads;
+    cfg.trace_cycles = true;
+    ParallelEngine engine(p, cfg);
+    engine.assert_initial_facts();
+    const RunStats stats = engine.run();
+    ASSERT_EQ(stats.per_cycle.size(), 4u);
+    for (const std::size_t gated : {0u, 2u, 3u}) {
+      const CycleStats& c = stats.per_cycle[gated];
+      EXPECT_EQ(c.meta_rounds, 0u) << "cycle " << gated;
+      EXPECT_EQ(c.meta_reify_ns, 0u) << "cycle " << gated;
+      EXPECT_EQ(c.meta_match_ns, 0u) << "cycle " << gated;
+      EXPECT_EQ(c.redacted, 0u) << "cycle " << gated;
+    }
+    EXPECT_GT(stats.per_cycle[1].meta_rounds, 0u);
+    EXPECT_EQ(stats.per_cycle[1].redacted, 2u);
+    EXPECT_EQ(stats.per_cycle[2].fired, 2u);  // the redacted a(3), a(4)
+  }
+}
+
+// Waltz with prebuilt witnesses: defer-prune reads inst-witness-build,
+// which never has an instantiation, so no cycle runs the meta level.
+// Fingerprint and firing log were recorded before the gate existed,
+// when each of the 4 cycles ran one round that redacted nothing.
+TEST(MetaGate, PrebuiltWaltzRunsNoRoundsAndKeepsItsRun) {
+  const Program p = parse_program(workloads::make_waltz(4).source);
+  EXPECT_EQ(testing_meta::expect_meta_matches_reference(p, 100), 0u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<FiringRecord> log;
+    EngineConfig cfg;
+    cfg.matcher = MatcherKind::ParallelTreat;
+    cfg.threads = threads;
+    cfg.firing_log = &log;
+    ParallelEngine engine(p, cfg);
+    engine.assert_initial_facts();
+    const RunStats stats = engine.run();
+    EXPECT_EQ(stats.cycles, 4u);
+    EXPECT_EQ(stats.total_firings, 408u);
+    EXPECT_EQ(stats.total_redactions, 0u);
+    EXPECT_EQ(stats.total_meta_rounds, 0u);
+    EXPECT_EQ(stats.redact_ns, stats.meta_query_ns);
+    EXPECT_EQ(engine.wm().content_fingerprint(), 0xc6487d5f519daebull);
+    EXPECT_EQ(firing_log_hash(log), 0x4ac463c8d7278f2bull);
+  }
+}
+
 struct MannersGolden {
   std::uint64_t seed;
   std::uint64_t fingerprint;
